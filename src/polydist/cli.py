@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from math import gcd
 
 from . import distrib, measures, polylog_num
 from .words import parse_word
@@ -104,7 +105,7 @@ def _measure_tasks(args, sel=None):
                         ell=ell,
                         m=m,
                         n=n,
-                        trials=args.trials,
+                        trials=100 if args.trials is None else args.trials,
                         seed=args.seed,
                         depth=args.depth or 6,
                     ),
@@ -113,7 +114,7 @@ def _measure_tasks(args, sel=None):
     if sel in ("congruence", "all"):
         qs = [args.q] if sel != "all" and args.q else [8, 9, 16, 27]
         for q in qs:
-            cs = [args.c] if args.c else [c for c in range(1, 2 * q, 2) if _coprime(c, 2 * q)]
+            cs = [args.c] if args.c else [c for c in range(1, 2 * q, 2) if gcd(c, 2 * q) == 1]
             for c in cs:
                 tasks.append(("congruence", dict(q=q, c=c)))
     return tasks
@@ -147,19 +148,13 @@ def _numeric_tasks(args, sel=None):
         tasks.append(
             (
                 "cross-oracle",
-                dict(trials=args.trials if args.trials != 100 else 20,
+                dict(trials=20 if args.trials is None else args.trials,
                      seed=args.seed, tol=args.tol or 1e-8),
             )
         )
     if sel in ("classical", "all"):
         tasks.append(("classical", dict(tol=args.tol or 1e-12)))
     return tasks
-
-
-def _coprime(a, b):
-    while b:
-        a, b = b, a % b
-    return a == 1
 
 
 _RUNNERS = {
@@ -204,7 +199,8 @@ def build_parser():
         p.add_argument("--n", type=int, default=2)
         p.add_argument("--ell", type=int, default=3)
         p.add_argument("--level", type=int, default=3, help="measure level m")
-        p.add_argument("--trials", type=int, default=100)
+        p.add_argument("--trials", type=int, default=None,
+                       help="random trials (default: 100 pushforward, 20 cross-oracle)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--z", type=_parse_z, default=complex(0.5))
         p.add_argument("--tol", type=float, default=None)

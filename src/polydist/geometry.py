@@ -20,14 +20,10 @@ Conventions (fixed throughout the package):
   element (s/n)(chi - 1)·X attached to the arc reaching the s-indexed unit
   root; it vanishes in tilde flavor.  The coefficient ring must have the
   cyclotomic-character symbol ``chi`` registered.
-
-``PathLabel`` is a purely bookkeeping record of which base path / arcs /
-coordinate powers a composite came from; it never influences arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -40,51 +36,6 @@ from .words import (
     x_letter,
     y_letter,
 )
-
-
-@dataclass(frozen=True)
-class PathLabel:
-    """Provenance tag for paths and their images; bookkeeping only."""
-
-    kind: str
-    params: tuple = ()
-    children: tuple = ()
-
-    @classmethod
-    def base(cls, name="gamma"):
-        return cls("base", (name,))
-
-    @classmethod
-    def delta_arc(cls, s, n):
-        return cls("delta", (s, n))
-
-    @classmethod
-    def epsilon_arc(cls, s, n):
-        return cls("epsilon", (s, n))
-
-    @classmethod
-    def x_power(cls, q):
-        return cls("x^q", (Fraction(q),))
-
-    @classmethod
-    def image(cls, map_name, inner):
-        return cls("image", (map_name,), (inner,))
-
-    def compose(self, other):
-        return PathLabel("compose", (), (self, other))
-
-    def __str__(self):
-        if self.kind == "base":
-            return self.params[0]
-        if self.kind == "delta":
-            return f"delta[{self.params[0]}/{self.params[1]}]"
-        if self.kind == "epsilon":
-            return f"epsilon[{self.params[0]}/{self.params[1]}]"
-        if self.kind == "x^q":
-            return f"x^({self.params[0]})"
-        if self.kind == "image":
-            return f"{self.params[0]}({self.children[0]})"
-        return "*".join(str(c) for c in self.children)
 
 
 def conjugated_puncture_letter(ring, k, trunc, level=1, flavor=FLAVOR_STANDARD, y_index=0):
@@ -124,16 +75,7 @@ def pi_morphism(ring, r, n, trunc, flavor=FLAVOR_STANDARD):
             i, k = letter.index % r, letter.index // r
             img = conjugated_puncture_letter(ring, k, trunc, r, flavor, i)
         images[letter] = img
-    return AlgebraMorphism(
-        ring,
-        rn,
-        flavor,
-        r,
-        flavor,
-        images,
-        trunc,
-        label=PathLabel("image", (f"push[{rn}->{r}]",)),
-    )
+    return AlgebraMorphism(ring, rn, flavor, r, flavor, images, trunc)
 
 
 def j_zeta_morphism(ring, n, s, trunc, flavor=FLAVOR_STANDARD):
@@ -154,16 +96,7 @@ def j_zeta_morphism(ring, n, s, trunc, flavor=FLAVOR_STANDARD):
         else:
             img = conjugated_puncture_letter(ring, 1, trunc, 1, flavor, 0)
         images[letter] = img
-    return AlgebraMorphism(
-        ring,
-        n,
-        flavor,
-        1,
-        flavor,
-        images,
-        trunc,
-        label=PathLabel("image", (f"root[{s}/{n}]",)),
-    )
+    return AlgebraMorphism(ring, n, flavor, 1, flavor, images, trunc)
 
 
 def galois_twist_delta(ring, s, n, trunc, flavor=FLAVOR_STANDARD):

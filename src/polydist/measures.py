@@ -9,7 +9,8 @@ k-th moment, and translating the grid acts on the character list by a
 binomial transform (``translate_chi``).
 
 All congruence engines here check exact integers/rationals (the honest
-brute-force oracle) and carry the reduced PadicScaled values in the report.
+brute-force oracle): a congruence mod ell^m' is tested on the exact
+difference, and reports carry pass/fail checks, never reduced residues.
 """
 
 from __future__ import annotations
@@ -21,7 +22,18 @@ from math import comb, gcd
 
 from .lie import bernoulli_poly_eval
 from .report import VerificationReport, timed
-from .scalars import PadicRing, padic_valuation
+
+
+def padic_valuation(n, ell):
+    """Exponent of ell in the integer n (n != 0)."""
+    if n == 0:
+        raise ValueError("valuation of zero is undefined")
+    n = abs(n)
+    v = 0
+    while n % ell == 0:
+        n //= ell
+        v += 1
+    return v
 
 
 def _is_prime(p):
@@ -116,10 +128,6 @@ def moment_exact(mu, k):
             total += v * (mu.offset + a) ** (k - 1)
     return total
 
-def moment(mu, k):
-    """The k-th moment reduced into PadicRing(ell, m)."""
-    return PadicRing(mu.ell, max(mu.m, 1)).from_fraction(moment_exact(mu, k))
-
 
 def pushforward_mul(mu, n):
     """Push the measure forward along x -> n·x.
@@ -135,7 +143,7 @@ def pushforward_mul(mu, n):
             f"offset {mu.offset} times {n} is not integral; "
             "the image does not live on the integer grid"
         )
-    v = padic_valuation(n, mu.ell) if n % mu.ell == 0 else 0
+    v = padic_valuation(n, mu.ell)
     m_new = mu.m - v
     if m_new < 0:
         raise MeasureError(
@@ -185,7 +193,7 @@ def verify_measure_pushforward(ell, m, n, trials=100, seed=0, depth=6):
         {"ell": ell, "m": m, "n": n, "trials": trials, "seed": seed, "depth": depth},
     )
     with timed(report):
-        v = padic_valuation(n, ell) if n % ell == 0 else 0
+        v = padic_valuation(n, ell)
         m_new = m - v
         if m_new < 0:
             raise MeasureError("level too small for this multiplier")

@@ -12,8 +12,6 @@ truncation.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .words import alphabet, empty_word
 
 class SeriesError(ValueError):
@@ -190,31 +188,16 @@ class NCSeries:
     # -- exp / log --------------------------------------------------------
 
     def exp(self):
-        """exp of a series with zero constant term."""
-        if not self.ring.is_zero(self.constant_term()):
-            raise SeriesError("exp needs zero constant term")
-        acc = NCSeries.one(self.ring, self.level, self.flavor, self.trunc)
-        term = acc
-        for k in range(1, self.trunc + 1):
-            term = (term * self).scale(Fraction(1, k))
-            if term.is_zero():
-                break
-            acc = acc + term
-        return acc
+        """exp of a series with zero constant term (``lie.exp_mod``)."""
+        from .lie import exp_mod  # lie imports this module
+
+        return exp_mod(self)
 
     def log(self):
-        """log of a series with constant term one."""
-        u = self - NCSeries.one(self.ring, self.level, self.flavor, self.trunc)
-        if not self.ring.is_zero(u.constant_term()):
-            raise SeriesError("log needs constant term one")
-        acc = NCSeries.zero(self.ring, self.level, self.flavor, self.trunc)
-        power = NCSeries.one(self.ring, self.level, self.flavor, self.trunc)
-        for k in range(1, self.trunc + 1):
-            power = power * u
-            if power.is_zero():
-                break
-            acc = acc + power.scale(Fraction(-1 if k % 2 == 0 else 1, k))
-        return acc
+        """log of a series with constant term one (``lie.log_mod``)."""
+        from .lie import log_mod  # lie imports this module
+
+        return log_mod(self)
 
     def __str__(self):
         if not self.coeffs:
@@ -247,7 +230,6 @@ class AlgebraMorphism:
         target_flavor,
         images,
         trunc,
-        label=None,
     ):
         self.ring = ring
         self.source_level = source_level
@@ -255,7 +237,6 @@ class AlgebraMorphism:
         self.target_level = target_level
         self.target_flavor = target_flavor
         self.trunc = trunc
-        self.label = label
         self.images = {}
         for letter in alphabet(source_level, source_flavor):
             if letter not in images:
@@ -317,9 +298,6 @@ class AlgebraMorphism:
         if inner.ring != self.ring:
             raise SeriesError("morphism rings differ")
         images = {l: self.apply(img) for l, img in inner.images.items()}
-        label = None
-        if self.label is not None and inner.label is not None:
-            label = self.label.compose(inner.label)
         return AlgebraMorphism(
             self.ring,
             inner.source_level,
@@ -328,12 +306,10 @@ class AlgebraMorphism:
             self.target_flavor,
             images,
             min(self.trunc, inner.trunc),
-            label=label,
         )
 
     def __repr__(self):
-        tag = f" {self.label}" if self.label is not None else ""
         return (
             f"AlgebraMorphism(n={self.source_level},{self.source_flavor} -> "
-            f"n={self.target_level},{self.target_flavor}, D<={self.trunc}{tag})"
+            f"n={self.target_level},{self.target_flavor}, D<={self.trunc})"
         )

@@ -1,15 +1,13 @@
 """Exact coefficient rings for the series machinery.
 
-Three rings share one informal protocol (``zero``, ``one``, ``from_int``,
+Two rings share one informal protocol (``zero``, ``one``, ``from_int``,
 ``from_fraction``, ``is_zero``, ``coerce``):
 
 - ``QQ`` — the rationals, with plain ``fractions.Fraction`` elements;
 - ``PolyRing`` — sparse multivariate polynomials over the rationals in a
   fixed, registered set of named generators (fresh symbols must be declared
   up front, so a typo in a symbol name is an error, never a silent new
-  variable);
-- ``PadicRing`` — scaled residues modulo ell**N, i.e. values ell**(-v) * u
-  with u carried in Z/ell**N.
+  variable).
 
 Elements know their ring; mixing elements of different rings raises
 ``RingMismatchError``.  Plain ``int``/``Fraction`` scalars coerce into any
@@ -27,10 +25,6 @@ class RingMismatchError(ValueError):
 
 class UnknownSymbolError(KeyError):
     """Raised when a symbol name was never registered with the ring."""
-
-
-class NonInvertibleError(ZeroDivisionError):
-    """Raised when inverting a scaled residue that is 0 mod ell."""
 
 
 def _as_fraction(x):
@@ -350,196 +344,3 @@ def _mul_monomials(m1, m2):
         exps[i] = exps.get(i, 0) + e
     return tuple(sorted(exps.items()))
 
-
-# ---------------------------------------------------------------------------
-# scaled ell-adic residues
-# ---------------------------------------------------------------------------
-
-
-def padic_valuation(n, ell):
-    """Exponent of ell in the integer n (n != 0)."""
-    if n == 0:
-        raise ValueError("valuation of zero is undefined")
-    n = abs(n)
-    v = 0
-    while n % ell == 0:
-        n //= ell
-        v += 1
-    return v
-
-
-class PadicRing:
-    """Residues ell**(-v) * u with u in Z/ell**N, at absolute precision N."""
-
-    def __init__(self, ell, N):
-        if ell < 2:
-            raise ValueError("ell must be >= 2")
-        if N < 1:
-            raise ValueError("precision N must be >= 1")
-        self.ell = ell
-        self.N = N
-        self.modulus = ell**N
-
-    @property
-    def zero(self):
-        return PadicScaled(self, 0, 0)
-
-    @property
-    def one(self):
-        return PadicScaled(self, 0, 1)
-
-    def from_int(self, n):
-        return PadicScaled(self, 0, n % self.modulus)
-
-    def from_fraction(self, q):
-        q = _as_fraction(q)
-        den = q.denominator
-        v = padic_valuation(den, self.ell) if den % self.ell == 0 else 0
-        den_unit = den // self.ell**v
-        unit = q.numerator * pow(den_unit, -1, self.modulus) % self.modulus
-        return PadicScaled(self, v, unit)
-
-    def is_zero(self, a):
-        return a.unit == 0
-
-    def coerce(self, x):
-        if isinstance(x, PadicScaled):
-            if x.ring == self:
-                return x
-            raise RingMismatchError("scaled residue from a different ring")
-        if isinstance(x, (int, Fraction)):
-            return self.from_fraction(Fraction(x))
-        raise RingMismatchError(f"cannot coerce {x!r} into {self!r}")
-
-    def __repr__(self):
-        return f"PadicRing(ell={self.ell}, N={self.N})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PadicRing)
-            and self.ell == other.ell
-            and self.N == other.N
-        )
-
-    def __hash__(self):
-        return hash(("PadicRing", self.ell, self.N))
-
-
-class PadicScaled:
-    """Value ell**(-v) * unit with unit a residue mod ell**N.
-
-    Canonical form: v >= 0, and while v > 0 the residue is not divisible by
-    ell (powers of ell are folded back into v), so representations — hence
-    equality — are unique.  The type models exact rationals reduced at fixed
-    absolute precision; it does not track error growth of inexact chains.
-    """
-
-    __slots__ = ("ring", "v", "unit")
-
-    def __init__(self, ring, v, unit):
-        unit %= ring.modulus
-        if unit == 0:
-            v = 0
-        else:
-            while v > 0 and unit % ring.ell == 0:
-                unit //= ring.ell
-                v -= 1
-        if v < 0:
-            # fold nonnegative powers of ell into the residue
-            unit = unit * ring.ell ** (-v) % ring.modulus
-            v = 0
-            if unit == 0:
-                v = 0
-        self.ring = ring
-        self.v = v
-        self.unit = unit
-
-    def _check(self, other):
-        if isinstance(other, PadicScaled):
-            if other.ring == self.ring:
-                return other
-            raise RingMismatchError("scaled residues from different rings")
-        if isinstance(other, (int, Fraction)):
-            return self.ring.from_fraction(Fraction(other))
-        return None
-
-    def is_zero(self):
-        return self.unit == 0
-
-    def __add__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        v = max(self.v, other.v)
-        ell = self.ring.ell
-        u = self.unit * ell ** (v - self.v) + other.unit * ell ** (v - other.v)
-        return PadicScaled(self.ring, v, u)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PadicScaled(self.ring, self.v, -self.unit)
-
-    def __sub__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return PadicScaled(self.ring, self.v + other.v, self.unit * other.unit)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        result = self.ring.one
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def inverse(self):
-        if self.unit % self.ring.ell == 0:
-            raise NonInvertibleError(
-                f"residue {self.unit} is divisible by ell={self.ring.ell}"
-            )
-        u = pow(self.unit, -1, self.ring.modulus)
-        return PadicScaled(self.ring, 0, u * self.ring.ell**self.v)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.from_fraction(Fraction(other))
-        if not isinstance(other, PadicScaled):
-            return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.v == other.v
-            and self.unit == other.unit
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.v, self.unit))
-
-    def __str__(self):
-        if self.v:
-            return f"{self.ring.ell}^(-{self.v})*{self.unit} (mod {self.ring.ell}^{self.ring.N})"
-        return f"{self.unit} (mod {self.ring.ell}^{self.ring.N})"
-
-    __repr__ = __str__
-
-
-def rational_to_padic(q, ell, N):
-    """Reduce an exact rational into PadicRing(ell, N).
-
-    The denominator's ell-part becomes the valuation shift v; the remaining
-    unit is inverted mod ell**N.  Example: 1/2 at ell=3, N=3 gives v=0,
-    unit=14 (2*14 = 28 = 1 mod 27); 1/3 gives v=1, unit=1.
-    """
-    return PadicRing(ell, N).from_fraction(_as_fraction(q))

@@ -103,3 +103,23 @@ def test_verify_all_matrix():
               "numeric-calibration", "numeric-distribution",
               "numeric-cross-oracle", "numeric-classical"):
         assert s in statements, s
+
+
+def test_trials_reach_each_engine_with_its_own_default():
+    from polydist import cli
+
+    parser = cli.build_parser()
+
+    def tasks(*argv):
+        args = parser.parse_args(argv)
+        builder = {"verify": cli._verify_tasks, "measures": cli._measure_tasks,
+                   "numeric": cli._numeric_tasks}[args.command]
+        return [(name, kw["trials"]) for name, kw in builder(args) if "trials" in kw]
+
+    assert tasks("numeric", "cross-oracle", "--trials", "100") == [("cross-oracle", 100)]
+    assert tasks("numeric", "cross-oracle") == [("cross-oracle", 20)]
+    assert tasks("measures", "pushforward", "--trials", "7") == [("pushforward", 7)]
+    everything = tasks("verify", "--all")
+    assert everything.count(("pushforward", 100)) == 4
+    assert everything.count(("cross-oracle", 20)) == 1
+    assert len(everything) == 5

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from polydist.geometry import (
-    PathLabel,
     conjugated_puncture_letter,
     galois_twist_delta,
     j_zeta_morphism,
@@ -101,9 +100,3 @@ def test_galois_twist():
     with pytest.raises(UnknownSymbolError):
         galois_twist_delta(PolyRing(["rho"]), 1, 2, trunc, FLAVOR_STANDARD)
 
-
-def test_path_labels_compose():
-    p = PathLabel.base().compose(PathLabel.x_power(2))
-    q = p.compose(PathLabel.delta_arc(1, 3))
-    assert "x^2" in str(q) or "2" in str(q)
-    assert q.children

@@ -1,20 +1,12 @@
-"""Exact scalar rings: rational polynomials and scaled ell-adic residues."""
+"""Exact scalar rings: the rationals and rational polynomials."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polydist.scalars import (
-    QQ,
-    NonInvertibleError,
-    PadicRing,
-    PolyRing,
-    RingMismatchError,
-    UnknownSymbolError,
-    padic_valuation,
-    rational_to_padic,
-)
+from polydist.measures import padic_valuation
+from polydist.scalars import QQ, PolyRing, RingMismatchError, UnknownSymbolError
 
 fractions = st.fractions(
     min_value=-50, max_value=50, max_denominator=40
@@ -110,76 +102,3 @@ def test_padic_valuation():
     with pytest.raises(ValueError):
         padic_valuation(0, 3)
 
-
-def test_frozen_padic_units():
-    # hand-checked residues
-    r25 = PadicRing(5, 2)
-    inv24 = r25.from_fraction(Fraction(1, 24))
-    assert inv24.v == 0 and inv24.unit == pow(24, -1, 25) == 24
-
-    r27 = PadicRing(3, 3)
-    half = r27.from_fraction(Fraction(1, 2))
-    assert half.v == 0 and half.unit == 14  # 2*14 = 28 = 1 mod 27
-
-    third = r27.from_fraction(Fraction(1, 3))
-    assert third.v == 1 and third.unit == 1
-
-    # -1/24 = -(24^{-1}): at ell=5, N=2 the unit is -24 = 1 mod 25
-    m = rational_to_padic(Fraction(-1, 24), 5, 2)
-    assert m.v == 0 and m.unit == (-pow(24, -1, 25)) % 25 == 1
-
-
-unit_fractions = fractions.filter(lambda q: q.denominator % 3 and q.denominator % 5)
-
-
-@given(unit_fractions, unit_fractions)
-@settings(max_examples=80)
-def test_rational_to_padic_additive(x, y):
-    # exact at valuation >= 0: plain arithmetic mod ell^N
-    a = rational_to_padic(x, 3, 4)
-    b = rational_to_padic(y, 3, 4)
-    assert a + b == rational_to_padic(x + y, 3, 4)
-
-
-@given(unit_fractions, unit_fractions)
-@settings(max_examples=80)
-def test_rational_to_padic_multiplicative(x, y):
-    a = rational_to_padic(x, 5, 3)
-    b = rational_to_padic(y, 5, 3)
-    assert a * b == rational_to_padic(x * y, 5, 3)
-
-
-def test_scaled_sum_degrades_precision_as_documented():
-    """Summing at scale ell^-v leaves the result known only mod ell^(N-v).
-
-    -1/9 + -2/9 at (ell, N) = (3, 4): the stripped unit 26 and the directly
-    converted unit 80 agree mod 27 but not mod 81 — fixed-modulus residues
-    cannot do better once a power of ell cancels.
-    """
-    a = rational_to_padic(Fraction(-1, 9), 3, 4)
-    b = rational_to_padic(Fraction(-2, 9), 3, 4)
-    s = a + b
-    direct = rational_to_padic(Fraction(-1, 3), 3, 4)
-    assert s.v == direct.v == 1
-    assert s.unit % 27 == direct.unit % 27
-    assert s.unit != direct.unit
-
-
-def test_padic_inverse_of_divisible_unit_fails():
-    r = PadicRing(3, 2)
-    with pytest.raises(NonInvertibleError):
-        r.from_int(3).inverse()
-    got = r.from_int(2).inverse()
-    assert got == r.from_fraction(Fraction(1, 2))
-
-
-def test_padic_negative_valuation_folds_into_residue():
-    # 1/9 + 8/9 = 1 must hold once N leaves room for the two stripped digits
-    r = PadicRing(3, 4)
-    a = r.from_fraction(Fraction(1, 9))
-    b = r.from_fraction(Fraction(8, 9))
-    assert a + b == r.one
-    # at N = 2 the same sum has no correct digits left and collapses to 0
-    tight = PadicRing(3, 2)
-    s = tight.from_fraction(Fraction(1, 9)) + tight.from_fraction(Fraction(8, 9))
-    assert s == tight.zero
