@@ -177,7 +177,7 @@ def verify_formal_distribution(r=1, n=2, degree=6, flavor=FLAVOR_TILDE):
             coeffs[w] = s
         generic = NCSeries(ring, rn, flavor, degree, coeffs)
 
-        push = pi_morphism(ring, r, n, degree, flavor)
+        push = pi_morphism(r, n, degree, flavor)
         image = push.apply(generic)
 
         target_words = words_up_to_degree(r, flavor, degree, min_degree=1)
@@ -187,10 +187,8 @@ def verify_formal_distribution(r=1, n=2, degree=6, flavor=FLAVOR_TILDE):
         sample = None
         for w in target_words:
             actual = image.coefficient(w)
-            expected = ring.zero
-            for u in enumerate_lifts(w, n):
-                expected = expected + sym_of[u]
-            expected = expected * Fraction(n ** wt_x(w))
+            scale = n ** wt_x(w)
+            expected = ring.lincomb((sym_of[u], scale) for u in enumerate_lifts(w, n))
             residual = actual - expected
             if flavor == FLAVOR_TILDE or wt_x(w) == 0:
                 if not residual.is_zero():
@@ -453,11 +451,10 @@ def verify_conversions(depth=8):
         ok_extract = True
         for m in range(1, K + 1):
             got = lg.coefficient(Word(1, FLAVOR_STANDARD, (y,) + (x,) * (m - 1)))
-            want = ring_j.zero
-            for k in range(m):
-                want = want + a**k * ds[m - k - 1] * (
-                    bernoulli_number(k) * Fraction(1, factorial(k))
-                )
+            want = ring_j.lincomb(
+                (a**k * ds[m - k - 1], bernoulli_number(k) / factorial(k))
+                for k in range(m)
+            )
             if got != -want:
                 ok_extract = False
         report.add(
@@ -478,11 +475,13 @@ def verify_conversions(depth=8):
         for m in range(1, K + 1):
             got = lg_g.coefficient(Word(1, FLAVOR_STANDARD, (y,) + (x,) * (m - 1)))
             want_direct = li[m - 1] * Fraction(-((-1) ** (m - 1)), 1)
-            want_formula = ring_c.zero
-            for k in range(m):
-                want_formula = want_formula + (-rho) ** k * (
-                    cs[m - k - 1] * Fraction(1, factorial(m - k - 1))
-                ) * (bernoulli_number(k) * Fraction(1, factorial(k)))
+            want_formula = ring_c.lincomb(
+                (
+                    (-rho) ** k * cs[m - k - 1],
+                    bernoulli_number(k) / (factorial(m - k - 1) * factorial(k)),
+                )
+                for k in range(m)
+            )
             if got != want_direct or got != -want_formula:
                 ok_dual = False
         report.add(
@@ -573,7 +572,7 @@ def _inhomogeneous_payload(n, depth):
     # independent route per applied unit root: specialize and compare with
     # the BCH composition of the twist arc and the branch polylog element
     for s in range(n):
-        spec = j_zeta_morphism(ring, n, s, K)
+        spec = j_zeta_morphism(n, s, K)
         lhs = reduce_mod_ideal(spec.apply(lam), MOD_IY)
         b = (n - s) % n
         branch_elt = PolylogPart(
@@ -593,7 +592,7 @@ def _inhomogeneous_payload(n, depth):
         )
 
     # push down the covering and extract the level-1 data
-    push = pi_morphism(ring, 1, n, K)
+    push = pi_morphism(1, n, K)
     mu = reduce_mod_ideal(push.apply(lam), MOD_IY)
     part = polylog_part(mu, K)
     checks.append(
@@ -634,19 +633,17 @@ def _inhomogeneous_payload(n, depth):
     ok_main = True
     first_bad = None
     for k in range(1, K + 1):
-        rhs = ring.zero
-        for d in range(1, k + 1):
-            if d == k:
-                inner = ring.zero
-                for s in range(n):
-                    inner = inner + csym[(s, d)]
-            else:
-                inner = ring.zero
-                for s in range(1, n):
-                    inner = inner + chi ** (k - d) * csym[(s, d)] * Fraction(
-                        s ** (k - d)
-                    )
-            rhs = rhs + inner * Fraction(comb(k - 1, d - 1) * n ** (d - 1))
+        rhs = ring.lincomb(
+            [(csym[(s, k)], n ** (k - 1)) for s in range(n)]
+            + [
+                (
+                    chi ** (k - d) * csym[(s, d)],
+                    comb(k - 1, d - 1) * n ** (d - 1) * s ** (k - d),
+                )
+                for d in range(1, k)
+                for s in range(1, n)
+            ]
+        )
         if chi_zn[k - 1] != rhs:
             ok_main = False
             if first_bad is None:
@@ -700,18 +697,15 @@ def _inhomogeneous_payload(n, depth):
 
     # low-depth specializations
     if K >= 1:
-        expect1 = ring.zero
-        for s in range(n):
-            expect1 = expect1 + csym[(s, 1)]
+        expect1 = ring.lincomb((csym[(s, 1)], 1) for s in range(n))
         checks.append(
             ("depth-1-specialization", chi_zn[0] == expect1, "plain branch sum")
         )
     if K >= 2:
-        expect2 = ring.zero
-        for s in range(n):
-            expect2 = expect2 + csym[(s, 2)] * Fraction(n)
-        for s in range(1, n):
-            expect2 = expect2 + chi * csym[(s, 1)] * Fraction(s)
+        expect2 = ring.lincomb(
+            [(csym[(s, 2)], n) for s in range(n)]
+            + [(chi * csym[(s, 1)], s) for s in range(1, n)]
+        )
         checks.append(
             (
                 "depth-2-specialization",
@@ -722,11 +716,13 @@ def _inhomogeneous_payload(n, depth):
     if n == 2:
         ok_n2 = True
         for k in range(1, K + 1):
-            expect = csym[(0, k)] * Fraction(2 ** (k - 1))
-            for d in range(1, k + 1):
-                expect = expect + chi ** (k - d) * csym[(1, d)] * Fraction(
-                    comb(k - 1, d - 1) * 2 ** (d - 1)
-                )
+            expect = ring.lincomb(
+                [(csym[(0, k)], 2 ** (k - 1))]
+                + [
+                    (chi ** (k - d) * csym[(1, d)], comb(k - 1, d - 1) * 2 ** (d - 1))
+                    for d in range(1, k + 1)
+                ]
+            )
             if chi_zn[k - 1] != expect:
                 ok_n2 = False
         checks.append(
@@ -793,7 +789,7 @@ def _homogeneous_payload(n, depth):
     # specialization at each unit root picks out exactly one branch
     ok_spec = True
     for s in range(n):
-        spec = j_zeta_morphism(ring, n, s, K, flavor=FLAVOR_TILDE)
+        spec = j_zeta_morphism(n, s, K, flavor=FLAVOR_TILDE)
         part = polylog_part(spec.apply(lam), K)
         if part.x_coeff != d0 or list(part.y_coeffs(0)) != [
             dsym[(s, k)] for k in range(1, K + 1)
@@ -809,7 +805,7 @@ def _homogeneous_payload(n, depth):
     )
 
     # push-forward acts diagonally with degree scaling
-    push = pi_morphism(ring, 1, n, K, flavor=FLAVOR_TILDE)
+    push = pi_morphism(1, n, K, flavor=FLAVOR_TILDE)
     part = polylog_part(push.apply(lam), K)
     checks.append(
         (
@@ -821,10 +817,7 @@ def _homogeneous_payload(n, depth):
     li_zn = list(part.y_coeffs(0))
     ok_li = True
     for k in range(1, K + 1):
-        expect = ring.zero
-        for s in range(n):
-            expect = expect + dsym[(s, k)]
-        expect = expect * Fraction(n ** (k - 1))
+        expect = ring.lincomb((dsym[(s, k)], n ** (k - 1)) for s in range(n))
         if li_zn[k - 1] != expect:
             ok_li = False
     checks.append(
@@ -848,10 +841,9 @@ def _homogeneous_payload(n, depth):
     }
     ok_chi = True
     for k in range(1, K + 1):
-        expect = ring.zero
-        for s in range(n):
-            expect = expect + chi_branch[s][k - 1]
-        expect = expect * Fraction(n ** (k - 1))
+        expect = ring.lincomb(
+            (chi_branch[s][k - 1], n ** (k - 1)) for s in range(n)
+        )
         if chi_zn[k - 1] != expect:
             ok_chi = False
     checks.append(

@@ -3,6 +3,9 @@ specialization at a root of unity.
 
 Conventions (fixed throughout the package):
 
+- Every letter image below has rational coefficients, so the morphisms take
+  no coefficient ring: they are built over ``QQ`` and apply to series over
+  any ring.
 - Unit roots at level n are indexed anticlockwise, s <-> exp(2*pi*i*s/n).
 - ``pi_morphism(r, n)`` is the push-forward along z -> z^n from level r*n
   to level r.  Standard flavor: X -> n*X and the puncture letter with index
@@ -16,10 +19,11 @@ Conventions (fixed throughout the package):
   puncture letter maps to Y for s = 0 and to exp(X)·Y·exp(-X) for s != 0
   (base-path transport around the translated puncture); all other puncture
   letters map to 0.  Tilde flavor: the surviving letter maps straight to Y.
-- ``galois_twist_delta(s, n)`` is the level-1 translation-correction Lie
-  element (s/n)(chi - 1)·X attached to the arc reaching the s-indexed unit
-  root; it vanishes in tilde flavor.  The coefficient ring must have the
-  cyclotomic-character symbol ``chi`` registered.
+- ``galois_twist_delta(ring, s, n)`` is the level-1 translation-correction
+  Lie element (s/n)(chi - 1)·X attached to the arc reaching the s-indexed
+  unit root; it vanishes in tilde flavor.  Its coefficient is not rational,
+  so it takes the coefficient ring, which must have the cyclotomic-character
+  symbol ``chi`` registered.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from fractions import Fraction
 from math import factorial
 
 from .ncseries import AlgebraMorphism, NCSeries, SeriesError
+from .scalars import QQ
 from .words import (
     FLAVOR_STANDARD,
     FLAVOR_TILDE,
@@ -38,10 +43,11 @@ from .words import (
 )
 
 
-def conjugated_puncture_letter(ring, k, trunc, level=1, flavor=FLAVOR_STANDARD, y_index=0):
+def conjugated_puncture_letter(k, trunc, level=1, flavor=FLAVOR_STANDARD, y_index=0):
     """exp(kX)·Y_s·exp(-kX) expanded in the word basis, k an integer.
 
-    Equals sum over a+b <= trunc-1 of k^a (-k)^b / (a! b!) X^a . Y_s . X^b.
+    Equals sum over a+b <= trunc-1 of k^a (-k)^b / (a! b!) X^a . Y_s . X^b,
+    over ``QQ``.
     """
     x = x_letter(level, flavor)
     y = y_letter(y_index, level, flavor)
@@ -52,11 +58,11 @@ def conjugated_puncture_letter(ring, k, trunc, level=1, flavor=FLAVOR_STANDARD, 
             if not c:
                 continue
             w = Word(level, flavor, (x,) * a + (y,) + (x,) * b)
-            coeffs[w] = ring.from_fraction(c)
-    return NCSeries(ring, level, flavor, trunc, coeffs)
+            coeffs[w] = c
+    return NCSeries(QQ, level, flavor, trunc, coeffs)
 
 
-def pi_morphism(ring, r, n, trunc, flavor=FLAVOR_STANDARD):
+def pi_morphism(r, n, trunc, flavor=FLAVOR_STANDARD):
     """Push-forward along z -> z^n, from level r*n down to level r."""
     if r < 1 or n < 1:
         raise SeriesError("levels must be positive")
@@ -65,20 +71,20 @@ def pi_morphism(ring, r, n, trunc, flavor=FLAVOR_STANDARD):
     for letter in alphabet(rn, flavor):
         if letter.is_x:
             img = NCSeries.monomial(
-                ring, Word(r, flavor, (x_letter(r, flavor),)), trunc, ring.from_int(n)
+                QQ, Word(r, flavor, (x_letter(r, flavor),)), trunc, n
             )
         elif flavor == FLAVOR_TILDE:
             img = NCSeries.monomial(
-                ring, Word(r, flavor, (y_letter(letter.index % r, r, flavor),)), trunc
+                QQ, Word(r, flavor, (y_letter(letter.index % r, r, flavor),)), trunc
             )
         else:
             i, k = letter.index % r, letter.index // r
-            img = conjugated_puncture_letter(ring, k, trunc, r, flavor, i)
+            img = conjugated_puncture_letter(k, trunc, r, flavor, i)
         images[letter] = img
-    return AlgebraMorphism(ring, rn, flavor, r, flavor, images, trunc)
+    return AlgebraMorphism(rn, flavor, r, flavor, images, trunc)
 
 
-def j_zeta_morphism(ring, n, s, trunc, flavor=FLAVOR_STANDARD):
+def j_zeta_morphism(n, s, trunc, flavor=FLAVOR_STANDARD):
     """Specialization at the n-th unit root with applied index s, to level 1."""
     if not 0 <= s < n:
         raise SeriesError(f"applied index {s} out of range for level {n}")
@@ -86,17 +92,15 @@ def j_zeta_morphism(ring, n, s, trunc, flavor=FLAVOR_STANDARD):
     images = {}
     for letter in alphabet(n, flavor):
         if letter.is_x:
-            img = NCSeries.monomial(
-                ring, Word(1, flavor, (x_letter(1, flavor),)), trunc
-            )
+            img = NCSeries.monomial(QQ, Word(1, flavor, (x_letter(1, flavor),)), trunc)
         elif letter.index != s:
-            img = NCSeries.zero(ring, 1, flavor, trunc)
+            img = NCSeries.zero(QQ, 1, flavor, trunc)
         elif flavor == FLAVOR_TILDE or s == 0:
-            img = NCSeries.monomial(ring, y1, trunc)
+            img = NCSeries.monomial(QQ, y1, trunc)
         else:
-            img = conjugated_puncture_letter(ring, 1, trunc, 1, flavor, 0)
+            img = conjugated_puncture_letter(1, trunc, 1, flavor, 0)
         images[letter] = img
-    return AlgebraMorphism(ring, n, flavor, 1, flavor, images, trunc)
+    return AlgebraMorphism(n, flavor, 1, flavor, images, trunc)
 
 
 def galois_twist_delta(ring, s, n, trunc, flavor=FLAVOR_STANDARD):

@@ -418,10 +418,9 @@ def bernoulli_number(k):
 def bernoulli_poly(k, ring, symbol="T"):
     """B_k(T) = sum_j C(k, j) B_j T^(k-j) over the given polynomial ring."""
     t = ring.sym(symbol)
-    out = ring.zero
-    for j in range(k + 1):
-        out = out + Fraction(comb(k, j)) * bernoulli_number(j) * t ** (k - j)
-    return out
+    return ring.lincomb(
+        (t ** (k - j), comb(k, j) * bernoulli_number(j)) for j in range(k + 1)
+    )
 
 
 def bernoulli_poly_eval(k, x):

@@ -6,12 +6,15 @@ arithmetic is exact in the quotient by words of degree > trunc).
 
 ``AlgebraMorphism`` is a ring map determined by letter images with zero
 constant term (so it preserves the augmentation and interacts correctly with
-exp/log); application substitutes images letter by letter with early
-truncation.
+exp/log).  The letter images have rational coefficients, so one morphism
+applies to series over any coefficient ring: application multiplies the
+images letter by letter in ``QQ``, with early truncation, and sums each
+target coefficient once with the series ring's ``lincomb``.
 """
 
 from __future__ import annotations
 
+from .scalars import QQ
 from .words import alphabet, empty_word
 
 class SeriesError(ValueError):
@@ -215,15 +218,14 @@ class NCSeries:
 class AlgebraMorphism:
     """Algebra map between truncated series algebras, given on letters.
 
-    Every source letter must have an image (possibly zero) with zero
-    constant term, living in the target algebra.  Application is
-    multiplicative substitution with truncation at min(source trunc, map
-    trunc); composition composes letter images.
+    Every source letter must have an image (possibly zero) over ``QQ`` with
+    zero constant term, living in the target algebra.  Application to a
+    series over any ring is multiplicative substitution with truncation at
+    min(source trunc, map trunc); composition composes letter images.
     """
 
     def __init__(
         self,
-        ring,
         source_level,
         source_flavor,
         target_level,
@@ -231,7 +233,6 @@ class AlgebraMorphism:
         images,
         trunc,
     ):
-        self.ring = ring
         self.source_level = source_level
         self.source_flavor = source_flavor
         self.target_level = target_level
@@ -246,9 +247,9 @@ class AlgebraMorphism:
                 raise SeriesError(f"letter {letter} is not in the source alphabet")
             if img.level != target_level or img.flavor != target_flavor:
                 raise SeriesError(f"image of {letter} is not in the target algebra")
-            if img.ring != ring:
-                raise SeriesError("image coefficients live in the wrong ring")
-            if not ring.is_zero(img.constant_term()):
+            if img.ring != QQ:
+                raise SeriesError(f"image of {letter} is not over QQ")
+            if img.constant_term():
                 raise SeriesError(
                     f"image of {letter} has nonzero constant term "
                     "(augmentation not preserved)"
@@ -262,28 +263,28 @@ class AlgebraMorphism:
             raise SeriesError(f"letter {letter} is not in the source alphabet")
 
     def apply(self, series):
+        """The image of ``series``, over the series' own ring."""
         if series.level != self.source_level or series.flavor != self.source_flavor:
             raise SeriesError("series does not live in the source algebra")
-        if series.ring != self.ring:
-            raise SeriesError("series coefficients live in the wrong ring")
         trunc = min(self.trunc, series.trunc)
-        one = NCSeries.one(self.ring, self.target_level, self.target_flavor, trunc)
-        acc = {}
+        one = NCSeries.one(QQ, self.target_level, self.target_flavor, trunc)
+        # (coefficient, rational) pairs per target word: one lincomb each
+        pairs = {}
         for w, c in series.coeffs.items():
             img = one
             for letter in w.letters:
                 img = img * self.images[letter]
                 if img.is_zero():
                     break
-            for w2, c2 in img.coeffs.items():
-                s = acc.get(w2)
-                s = c * c2 if s is None else s + c * c2
-                if self.ring.is_zero(s):
-                    acc.pop(w2, None)
-                else:
-                    acc[w2] = s
+            for w2, q in img.coeffs.items():
+                pairs.setdefault(w2, []).append((c, q))
+        ring = series.ring
         return NCSeries(
-            self.ring, self.target_level, self.target_flavor, trunc, acc
+            ring,
+            self.target_level,
+            self.target_flavor,
+            trunc,
+            {w2: ring.lincomb(p) for w2, p in pairs.items()},
         )
 
     __call__ = apply
@@ -295,11 +296,8 @@ class AlgebraMorphism:
             or inner.target_flavor != self.source_flavor
         ):
             raise SeriesError("morphism endpoints do not compose")
-        if inner.ring != self.ring:
-            raise SeriesError("morphism rings differ")
         images = {l: self.apply(img) for l, img in inner.images.items()}
         return AlgebraMorphism(
-            self.ring,
             inner.source_level,
             inner.source_flavor,
             self.target_level,

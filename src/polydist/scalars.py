@@ -1,7 +1,7 @@
 """Exact coefficient rings for the series machinery.
 
 Two rings share one informal protocol (``zero``, ``one``, ``from_int``,
-``from_fraction``, ``is_zero``, ``coerce``):
+``from_fraction``, ``is_zero``, ``coerce``, ``lincomb``):
 
 - ``QQ`` — the rationals, with plain ``fractions.Fraction`` elements;
 - ``PolyRing`` — sparse multivariate polynomials over the rationals in a
@@ -11,7 +11,9 @@ Two rings share one informal protocol (``zero``, ``one``, ``from_int``,
 
 Elements know their ring; mixing elements of different rings raises
 ``RingMismatchError``.  Plain ``int``/``Fraction`` scalars coerce into any
-ring.
+ring.  ``lincomb(pairs)`` is the one way to sum coefficients: it returns
+the sum of q·p over ``(p, q)`` pairs, p in the ring and q rational, in one
+pass instead of a fold of ``+`` that copies every partial sum.
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ def _as_fraction(x):
 class RationalField:
     """The field of rationals; elements are plain Fraction objects."""
 
-    element_type = Fraction
-
     @property
     def zero(self):
         return Fraction(0)
@@ -61,6 +61,13 @@ class RationalField:
         if isinstance(x, (int, Fraction)):
             return Fraction(x)
         raise RingMismatchError(f"cannot coerce {x!r} into QQ")
+
+    def lincomb(self, pairs):
+        """Sum of q·p over ``(p, q)`` pairs, q rational."""
+        total = Fraction(0)
+        for p, q in pairs:
+            total += self.coerce(p) * q
+        return total
 
     def __repr__(self):
         return "QQ"
@@ -129,6 +136,14 @@ class PolyRing:
             return self.from_fraction(Fraction(x))
         raise RingMismatchError(f"cannot coerce {x!r} into {self!r}")
 
+    def lincomb(self, pairs):
+        """Sum of q·p over ``(p, q)`` pairs, q rational, built in one dict."""
+        terms = {}
+        for p, q in pairs:
+            for m, c in self.coerce(p).terms.items():
+                terms[m] = terms.get(m, 0) + q * c
+        return SymbolicPoly(self, terms)
+
     def __repr__(self):
         shown = ",".join(self.gens[:4]) + (",..." if len(self.gens) > 4 else "")
         return f"PolyRing({shown})[{len(self.gens)} gens]"
@@ -171,23 +186,6 @@ class SymbolicPoly:
 
     def is_zero(self):
         return not self.terms
-
-    def is_constant(self):
-        return all(m == () for m in self.terms)
-
-    def constant(self):
-        """The constant coefficient, as a Fraction."""
-        return self.terms.get((), Fraction(0))
-
-    def as_fraction(self):
-        if not self.is_constant():
-            raise ValueError(f"{self} is not a constant polynomial")
-        return self.constant()
-
-    def total_degree(self):
-        if not self.terms:
-            return 0
-        return max(sum(e for _, e in m) for m in self.terms)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -273,17 +271,15 @@ class SymbolicPoly:
             if name not in self.ring.index:
                 raise UnknownSymbolError(f"symbol {name!r} not registered")
             by_index[self.ring.index[name]] = self.ring.coerce(val)
-        result = self.ring.zero
+        pairs = []
         for m, c in self.terms.items():
-            factor = self.ring.from_fraction(c)
-            kept = []
+            kept = tuple((i, e) for i, e in m if i not in by_index)
+            factor = self.ring.monomial(kept)
             for i, e in m:
                 if i in by_index:
                     factor = factor * by_index[i] ** e
-                else:
-                    kept.append((i, e))
-            result = result + factor * self.ring.monomial(tuple(kept))
-        return result
+            pairs.append((factor, c))
+        return self.ring.lincomb(pairs)
 
     def symbols(self):
         """Sorted names of the generators actually occurring."""

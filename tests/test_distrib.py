@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polydist import distrib
 from polydist.distrib import (
     DegreeCapError,
     chi_from_li,
@@ -20,13 +21,16 @@ from polydist.distrib import (
     verify_inhomogeneous_pipeline,
 )
 from polydist.geometry import pi_morphism
-from polydist.ncseries import NCSeries
+from polydist.ncseries import AlgebraMorphism, NCSeries
 from polydist.scalars import PolyRing
 from polydist.words import (
     FLAVOR_STANDARD,
+    FLAVOR_TILDE,
     empty_word,
     parse_word,
     words_up_to_degree,
+    x_letter,
+    y_letter,
 )
 
 fractions = st.fractions(min_value=-8, max_value=8, max_denominator=6)
@@ -98,13 +102,41 @@ def test_formal_distribution_standard_residual_frozen():
     gen = NCSeries.one(ring, 2, FLAVOR_STANDARD, trunc)
     for w in source_words:
         gen = gen + NCSeries.monomial(ring, w, trunc, ring.sym(f"c[{w}]"))
-    pushed = pi_morphism(ring, 1, 2, trunc, FLAVOR_STANDARD).apply(gen)
+    pushed = pi_morphism(1, 2, trunc, FLAVOR_STANDARD).apply(gen)
     yx = parse_word("n=1,std:Y0.X")
     actual = pushed.coefficient(yx)
     predicted = (
         ring.sym("c[n=2,std:Y0.X]") + ring.sym("c[n=2,std:Y1.X]")
     ) * Fraction(2)
     assert actual - predicted == -ring.sym("c[n=2,std:Y1]")
+
+
+@pytest.mark.parametrize(
+    "flavor, corrupt_x, failing",
+    [
+        (FLAVOR_TILDE, True, "all-residuals-zero"),
+        (FLAVOR_STANDARD, False, "x-free-words-exact"),
+        (FLAVOR_STANDARD, True, "residual-support-shorter-words"),
+    ],
+)
+def test_formal_distribution_negative_control(monkeypatch, flavor, corrupt_x, failing):
+    """One corrupted letter image of the push-forward must fail the report:
+    X -> (n+1)·X, or Y_0 -> 2·Y_0."""
+
+    def corrupted_pi(r, n, trunc, flavor):
+        phi = pi_morphism(r, n, trunc, flavor)
+        if corrupt_x:
+            letter, factor = x_letter(r * n, flavor), Fraction(n + 1, n)
+        else:
+            letter, factor = y_letter(0, r * n, flavor), Fraction(2)
+        images = dict(phi.images)
+        images[letter] = images[letter].scale(factor)
+        return AlgebraMorphism(r * n, flavor, r, flavor, images, trunc)
+
+    monkeypatch.setattr(distrib, "pi_morphism", corrupted_pi)
+    rep = verify_formal_distribution(r=1, n=2, degree=3, flavor=flavor)
+    assert not rep.ok
+    assert failing in [c.name for c in rep.checks if not c.ok]
 
 
 def test_bch_closed_form_unique_winner():

@@ -29,12 +29,12 @@ def test_conjugation_matches_exp_sandwich():
     y = NCSeries.monomial(QQ, word_of([y_letter(0, 1)], 1), trunc)
     for k in (-2, -1, 0, 1, 3):
         sandwich = x.scale(Fraction(k)).exp() * y * x.scale(Fraction(-k)).exp()
-        assert conjugated_puncture_letter(QQ, k, trunc) == sandwich
+        assert conjugated_puncture_letter(k, trunc) == sandwich
 
 
 def test_pi_images_doubling():
     trunc = 3
-    phi = pi_morphism(QQ, 1, 2, trunc, FLAVOR_STANDARD)
+    phi = pi_morphism(1, 2, trunc, FLAVOR_STANDARD)
     x2 = x_letter(2)
     y02, y12 = y_letter(0, 2), y_letter(1, 2)
     x = NCSeries.monomial(QQ, word_of([x_letter(1)], 1), trunc)
@@ -46,7 +46,7 @@ def test_pi_images_doubling():
 
 def test_pi_tilde_forgets_conjugation():
     trunc = 4
-    phi = pi_morphism(QQ, 2, 2, trunc, FLAVOR_TILDE)
+    phi = pi_morphism(2, 2, trunc, FLAVOR_TILDE)
     for j in range(4):
         img = phi.letter_image(y_letter(j, 4, FLAVOR_TILDE))
         want = NCSeries.monomial(
@@ -60,9 +60,9 @@ def test_pi_tower_composition(flavor):
     # pushing down r*n*m -> r*n -> r equals pushing r*n*m -> r directly
     trunc = 4
     for r, n, m in [(1, 2, 2), (1, 2, 3), (2, 2, 2), (1, 3, 2)]:
-        lower = pi_morphism(QQ, r, n, trunc, flavor)
-        upper = pi_morphism(QQ, r * n, m, trunc, flavor)
-        direct = pi_morphism(QQ, r, n * m, trunc, flavor)
+        lower = pi_morphism(r, n, trunc, flavor)
+        upper = pi_morphism(r * n, m, trunc, flavor)
+        direct = pi_morphism(r, n * m, trunc, flavor)
         composed = lower.compose(upper)
         for letter in alphabet(r * n * m, flavor):
             assert composed.letter_image(letter) == direct.letter_image(letter)
@@ -71,7 +71,7 @@ def test_pi_tower_composition(flavor):
 def test_j_zeta_branch_projection():
     trunc = 4
     n = 3
-    phi = j_zeta_morphism(QQ, n, 1, trunc, FLAVOR_STANDARD)
+    phi = j_zeta_morphism(n, 1, trunc, FLAVOR_STANDARD)
     x = NCSeries.monomial(QQ, word_of([x_letter(1)], 1), trunc)
     y = NCSeries.monomial(QQ, word_of([y_letter(0, 1)], 1), trunc)
     assert phi.letter_image(x_letter(n)) == x
@@ -82,7 +82,7 @@ def test_j_zeta_branch_projection():
 
 def test_j_zeta_base_branch():
     trunc = 3
-    phi = j_zeta_morphism(QQ, 2, 0, trunc, FLAVOR_TILDE)
+    phi = j_zeta_morphism(2, 0, trunc, FLAVOR_TILDE)
     y = NCSeries.monomial(
         QQ, word_of([y_letter(0, 1, FLAVOR_TILDE)], 1, FLAVOR_TILDE), trunc
     )

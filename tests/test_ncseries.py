@@ -9,6 +9,7 @@ from polydist.ncseries import AlgebraMorphism, NCSeries, SeriesError
 from polydist.scalars import QQ, PolyRing
 from polydist.words import (
     FLAVOR_STANDARD,
+    alphabet,
     empty_word,
     word_of,
     words_up_to_degree,
@@ -118,7 +119,7 @@ def _squaring_morphism(trunc):
         x_letter(1): NCSeries.monomial(QQ, X, trunc, Fraction(2)),
         y_letter(0, 1): NCSeries.monomial(QQ, Y, trunc),
     }
-    return AlgebraMorphism(QQ, 1, FLAVOR_STANDARD, 1, FLAVOR_STANDARD, images, trunc)
+    return AlgebraMorphism(1, FLAVOR_STANDARD, 1, FLAVOR_STANDARD, images, trunc)
 
 
 @given(small_series(), small_series())
@@ -146,7 +147,83 @@ def test_morphism_composition():
 def test_morphism_requires_complete_alphabet():
     with pytest.raises(SeriesError):
         AlgebraMorphism(
-            QQ, 1, FLAVOR_STANDARD, 1, FLAVOR_STANDARD,
+            1, FLAVOR_STANDARD, 1, FLAVOR_STANDARD,
             {x_letter(1): NCSeries.monomial(QQ, X, 3)},
             3,
         )
+
+
+def test_morphism_rejects_images_over_a_poly_ring():
+    ring = PolyRing(["a"])
+    images = {
+        x_letter(1): NCSeries.monomial(ring, X, 3),
+        y_letter(0, 1): NCSeries.monomial(QQ, Y, 3),
+    }
+    with pytest.raises(SeriesError, match="not over QQ"):
+        AlgebraMorphism(1, FLAVOR_STANDARD, 1, FLAVOR_STANDARD, images, 3)
+
+
+POLY = PolyRing(["a", "b"])
+
+
+@st.composite
+def poly_series(draw):
+    """A small level-1 series with coefficients linear in a, b."""
+    a, b = POLY.sym("a"), POLY.sym("b")
+    words = words_up_to_degree(LEVEL, FLAVOR_STANDARD, 3)
+    picks = draw(
+        st.lists(
+            st.tuples(st.sampled_from(words), coeffs, coeffs), min_size=1, max_size=5
+        )
+    )
+    terms = {w: a * p + b * q + p * q for w, p, q in picks}
+    return NCSeries(POLY, LEVEL, FLAVOR_STANDARD, TRUNC, terms)
+
+
+@st.composite
+def letter_image(draw):
+    """A nonzero rational image of degree 1 or 2, so that target words of
+    different source words collide often."""
+    words = words_up_to_degree(LEVEL, FLAVOR_STANDARD, 2, 1)
+    picks = draw(
+        st.lists(
+            st.tuples(st.sampled_from(words), coeffs.filter(bool)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    return NCSeries(QQ, LEVEL, FLAVOR_STANDARD, TRUNC, dict(picks))
+
+
+def _apply_by_lifting(phi, series):
+    """The route rational images replaced, kept as the oracle: lift each image
+    into the series ring, multiply letter by letter and sum with ``+``."""
+    ring = series.ring
+    trunc = min(phi.trunc, series.trunc)
+    lifted = {
+        l: img.map_coefficients(ring.from_fraction, ring)
+        for l, img in phi.images.items()
+    }
+    out = NCSeries.zero(ring, phi.target_level, phi.target_flavor, trunc)
+    for w, c in series.coeffs.items():
+        img = NCSeries.one(ring, phi.target_level, phi.target_flavor, trunc)
+        for letter in w.letters:
+            img = img * lifted[letter]
+        out = out + img.scale(c)
+    return out
+
+
+@given(
+    poly_series(),
+    st.lists(letter_image(), min_size=2, max_size=2),
+    st.integers(min_value=1, max_value=TRUNC),
+)
+@settings(max_examples=40, deadline=None)
+def test_apply_matches_lifted_images(series, imgs, trunc):
+    images = dict(zip(alphabet(LEVEL, FLAVOR_STANDARD), imgs))
+    phi = AlgebraMorphism(
+        LEVEL, FLAVOR_STANDARD, LEVEL, FLAVOR_STANDARD, images, trunc
+    )
+    got = phi.apply(series)
+    assert got.ring is POLY
+    assert got == _apply_by_lifting(phi, series)

@@ -89,6 +89,42 @@ def test_mixed_ring_arithmetic_rejected():
         RING.sym("a") + other.sym("a")
 
 
+@given(st.lists(st.tuples(POLYS, fractions), max_size=6))
+@settings(max_examples=60)
+def test_lincomb_matches_plus_fold(pairs):
+    fold = RING.zero
+    for p, q in pairs:
+        fold = fold + p * q
+    assert RING.lincomb(pairs) == fold
+    # the same pairs negated cancel to the empty polynomial
+    back = RING.lincomb(pairs + [(p, -q) for p, q in pairs])
+    assert back.terms == {}
+    consts = [(p.terms.get((), Fraction(0)), q) for p, q in pairs]
+    qfold = QQ.zero
+    for c, q in consts:
+        qfold = qfold + c * q
+    assert QQ.lincomb(consts) == qfold
+
+
+def test_lincomb_prunes_cancelled_terms():
+    a, b = RING.sym("a"), RING.sym("b")
+    got = RING.lincomb([(a + b, 2), (a * Fraction(3), Fraction(-2, 3)), (5, 1)])
+    assert got.terms == (b * 2 + 5).terms
+    assert RING.lincomb([(a, 1), (a, -1)]).terms == {}
+    assert RING.lincomb([]).terms == {}
+    assert QQ.lincomb([(Fraction(1, 2), 4), (1, -2)]) == 0
+
+
+def test_lincomb_refuses_other_rings():
+    other = PolyRing(["a"])
+    with pytest.raises(RingMismatchError):
+        RING.lincomb([(RING.sym("a"), 1), (other.sym("a"), 1)])
+    with pytest.raises(RingMismatchError):
+        QQ.lincomb([(RING.sym("a"), 1)])
+    with pytest.raises(RingMismatchError):
+        RING.lincomb([("a", 1)])
+
+
 def test_poly_str_is_deterministic():
     a, b = RING.sym("a"), RING.sym("b")
     p = b + a * a - a * Fraction(1, 2)
