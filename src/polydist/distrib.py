@@ -1,8 +1,9 @@
 """Symbolic verification engines for the distribution relations.
 
-Every engine builds its own polynomial coefficient ring with named symbols,
-re-derives the statement under test by at least two independent routes, and
-returns a ``VerificationReport`` of named checks.  Symbols:
+Every engine re-derives the statement under test by at least two
+independent routes and returns a ``VerificationReport`` of named checks.
+All but the formal-distribution engine build their own polynomial
+coefficient ring with named symbols:
 
 - ``chi``  — the cyclotomic character (acts on coordinate powers);
 - ``rho``  — the Kummer coordinate of the chosen point z;
@@ -11,9 +12,11 @@ returns a ``VerificationReport`` of named checks.  Symbols:
   1 - branch point);
 - ``d{s}_{k}``/``d0`` — free coordinates of a homogeneized Lie element;
 - ``alpha``, ``ell{k}`` — the shift and the free Lie coefficients in the
-  BCH closed-form engine;
-- ``c[<word>]`` — the fresh coefficient attached to a word in the generic
-  group-like series of the formal-distribution engine.
+  BCH closed-form engine.
+
+The formal-distribution engine needs no symbols: its generic series is
+linear in one independent coefficient per word, so it checks each word's
+image over ``QQ``.
 
 Degrees are capped by the POLYDIST_MAX_DEGREE environment variable
 (default 12).
@@ -30,8 +33,6 @@ from .lie import (
     GenSeries,
     MOD_IY,
     PolylogPart,
-    ad_pow,
-    apply_adx_series,
     bch,
     bernoulli_number,
     beta_series,
@@ -41,13 +42,13 @@ from .lie import (
 )
 from .ncseries import NCSeries
 from .report import VerificationReport, timed
-from .scalars import PolyRing
+from .scalars import QQ, PolyRing
 from .words import (
     FLAVOR_STANDARD,
     FLAVOR_TILDE,
     Word,
     empty_word,
-    enumerate_lifts,
+    reduce_mod_r,
     words_up_to_degree,
     wt_x,
     x_letter,
@@ -73,14 +74,6 @@ def _check_degree(degree):
         )
     if degree < 1:
         raise ValueError("degree must be >= 1")
-
-
-def _x_word(level, flavor):
-    return Word(level, flavor, (x_letter(level, flavor),))
-
-
-def _x_series(ring, level, flavor, trunc, coeff):
-    return NCSeries.monomial(ring, _x_word(level, flavor), trunc, coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +127,7 @@ def group_like_from_chi(ring, rho, chi_values, trunc, flavor=FLAVOR_STANDARD):
     coefficients are what the group-like engine checks.
     """
     li = [li_from_chi(rho, chi_values, m) for m in range(1, len(chi_values) + 1)]
-    lam = _x_series(ring, 1, flavor, trunc, rho)
-    for m, c in enumerate(li, start=1):
-        if m > trunc:
-            break
-        lam = lam + ad_pow(ring, m, trunc, 1, flavor).scale(c)
+    lam = PolylogPart(ring, 1, flavor, len(li), rho, {0: li}).rebuild(trunc)
     return (-lam).exp()
 
 
@@ -151,9 +140,16 @@ def verify_formal_distribution(r=1, n=2, degree=6, flavor=FLAVOR_TILDE):
     """Push a fully generic group-like series along the level-(r·n) -> r
     covering map and compare each coefficient with the lift-sum prediction.
 
+    The push-forward is linear in the generic coefficients, one per source
+    word u, and these never combine.  So the engine checks word by word over
+    ``QQ``: the image of u must be n^wt_X(u) times its reduction to level r,
+    and a target word w has a nonzero residual exactly when some source
+    word's image has a wrong coefficient at w.  The longest such source word
+    bounds the residual's support.
+
     Tilde flavor: the relation is exact (zero residual for every word).
     Standard flavor: the relation holds exactly on words with no X letter,
-    and up to a residual supported on strictly shorter-word symbols
+    and up to a residual supported on strictly shorter source words
     otherwise; the engine certifies that support bound and records a sample
     of the nonzero residuals.
     """
@@ -164,21 +160,16 @@ def verify_formal_distribution(r=1, n=2, degree=6, flavor=FLAVOR_TILDE):
         {"r": r, "n": n, "degree": degree, "flavor": flavor},
     )
     with timed(report):
-        source_words = words_up_to_degree(rn, flavor, degree, min_degree=1)
-        names = ["c[" + ".".join(l.render() for l in w.letters) + "]" for w in source_words]
-        ring = PolyRing(names)
-        sym_of = {}
-        len_of_gen = {}
-        coeffs = {empty_word(rn, flavor): ring.one}
-        for w, name in zip(source_words, names):
-            s = ring.sym(name)
-            sym_of[w] = s
-            len_of_gen[ring.index[name]] = w.degree()
-            coeffs[w] = s
-        generic = NCSeries(ring, rn, flavor, degree, coeffs)
-
         push = pi_morphism(r, n, degree, flavor)
-        image = push.apply(generic)
+        # target word -> length of the longest source word whose image has a
+        # wrong coefficient there
+        wrong = {}
+        for u in words_up_to_degree(rn, flavor, degree, min_degree=1):
+            image = push.word_image(u).coeffs
+            lifted, scale = reduce_mod_r(u, r), n ** wt_x(u)
+            for w in image.keys() | {lifted}:
+                if image.get(w, 0) != (scale if w == lifted else 0):
+                    wrong[w] = max(wrong.get(w, 0), u.degree())
 
         target_words = words_up_to_degree(r, flavor, degree, min_degree=1)
         exact_failures = []
@@ -186,35 +177,24 @@ def verify_formal_distribution(r=1, n=2, degree=6, flavor=FLAVOR_TILDE):
         nonzero_residuals = 0
         sample = None
         for w in target_words:
-            actual = image.coefficient(w)
-            scale = n ** wt_x(w)
-            expected = ring.lincomb((sym_of[u], scale) for u in enumerate_lifts(w, n))
-            residual = actual - expected
-            if flavor == FLAVOR_TILDE or wt_x(w) == 0:
-                if not residual.is_zero():
-                    exact_failures.append(str(w))
+            if w not in wrong:
                 continue
-            if residual.is_zero():
+            if flavor == FLAVOR_TILDE or wt_x(w) == 0:
+                exact_failures.append(str(w))
                 continue
             nonzero_residuals += 1
-            max_len = 0
-            clean = True
-            for mono in residual.terms:
-                for idx, exp in mono:
-                    max_len = max(max_len, len_of_gen[idx])
-                    if len_of_gen[idx] >= w.degree():
-                        clean = False
-            if not clean:
+            if wrong[w] >= w.degree():
                 support_failures.append(str(w))
             if sample is None:
                 sample = {
                     "word": str(w),
-                    "max_symbol_word_length": max_len,
+                    "max_symbol_word_length": wrong[w],
                     "word_length": w.degree(),
                 }
+        unit = NCSeries.one(QQ, rn, flavor, degree)
         report.add(
             "empty-word-normalized",
-            image.constant_term() == ring.one,
+            push.apply(unit).constant_term() == QQ.one,
             "push-forward preserves the augmentation",
         )
         if flavor == FLAVOR_TILDE:
@@ -285,10 +265,16 @@ def verify_bch_closed_form(degree=6, candidate="both"):
         )
         dt = degree - 1
         ellplus = ellplus.truncate(dt)
-        lie_elt = _x_series(ring, 1, FLAVOR_STANDARD, degree, ell0) + apply_adx_series(
-            ellplus, degree
-        )
-        shift = _x_series(ring, 1, FLAVOR_STANDARD, degree, alpha)
+
+        def build(x_coeff, prefactor):
+            # x_coeff·X + prefactor(ad X)(Y)
+            return PolylogPart(
+                ring, 1, FLAVOR_STANDARD, degree, x_coeff, {0: prefactor.coeffs}
+            ).rebuild(degree)
+
+        lie_elt = build(ell0, ellplus)
+        x = Word(1, FLAVOR_STANDARD, (x_letter(1, FLAVOR_STANDARD),))
+        shift = NCSeries.monomial(ring, x, degree, alpha)
 
         direct_right = bch(lie_elt, shift, which=MOD_IY)
         direct_left = bch(shift, lie_elt, which=MOD_IY)
@@ -297,21 +283,19 @@ def verify_bch_closed_form(degree=6, candidate="both"):
         beta_sum = beta.compose_linear(alpha + ell0)
         inv_ell0 = beta.compose_linear(ell0).inverse()
 
-        def build(prefactor):
-            return _x_series(
-                ring, 1, FLAVOR_STANDARD, degree, alpha + ell0
-            ) + apply_adx_series(prefactor, degree)
-
         closed_left = build(
-            beta_sum * inv_ell0 * ellplus * GenSeries.exp_linear(ring, alpha, dt)
+            alpha + ell0,
+            beta_sum * inv_ell0 * ellplus * GenSeries.exp_linear(ring, alpha, dt),
         )
         candidates = {}
         if candidate in ("shift-denominator", "both"):
             candidates["shift-denominator"] = build(
-                beta_sum * beta.compose_linear(alpha).inverse() * ellplus
+                alpha + ell0, beta_sum * beta.compose_linear(alpha).inverse() * ellplus
             )
         if candidate in ("base-denominator", "both"):
-            candidates["base-denominator"] = build(beta_sum * inv_ell0 * ellplus)
+            candidates["base-denominator"] = build(
+                alpha + ell0, beta_sum * inv_ell0 * ellplus
+            )
 
         def degree_matches(a, b):
             return [
@@ -563,11 +547,10 @@ def _inhomogeneous_payload(n, depth):
             * beta.compose_linear(rho)
         )
 
-    lam = _x_series(ring, n, FLAVOR_STANDARD, K, rho)
-    for s in range(n):
-        lam = lam + apply_adx_series(
-            prefactor[s].truncate(K - 1), K, n, FLAVOR_STANDARD, s
-        )
+    lam = PolylogPart(
+        ring, n, FLAVOR_STANDARD, K, rho,
+        {s: prefactor[s].coeffs for s in range(n)},
+    ).rebuild(K)
 
     # independent route per applied unit root: specialize and compare with
     # the BCH composition of the twist arc and the branch polylog element
@@ -779,12 +762,10 @@ def _homogeneous_payload(n, depth):
     }
     checks = []
 
-    lam = _x_series(ring, n, FLAVOR_TILDE, K, d0)
-    for s in range(n):
-        for m in range(1, K + 1):
-            lam = lam + ad_pow(ring, m, K, n, FLAVOR_TILDE, s).scale(
-                dsym[(s, m)]
-            )
+    lam = PolylogPart(
+        ring, n, FLAVOR_TILDE, K, d0,
+        {s: [dsym[(s, m)] for m in range(1, K + 1)] for s in range(n)},
+    ).rebuild(K)
 
     # specialization at each unit root picks out exactly one branch
     ok_spec = True

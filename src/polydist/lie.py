@@ -180,20 +180,26 @@ class PolylogPart:
         )
 
     def rebuild(self, trunc=None):
-        """The element c0·X + sum_s sum_m c_{s,m} ad(X)^(m-1)(Y_s)."""
+        """The element c0·X + sum_s sum_m c_{s,m} ad(X)^(m-1)(Y_s).
+
+        ad(X)^(m-1)(Y_s) = sum_j (-1)^j C(m-1, j) X^(m-1-j) . Y_s . X^j, and
+        each word X^a . Y_s . X^b comes from exactly one (s, m), so every
+        coefficient is written once.
+        """
         trunc = self.depth if trunc is None else trunc
-        x = x_letter(self.level, self.flavor)
-        out = NCSeries.monomial(
-            self.ring, Word(self.level, self.flavor, (x,)), trunc, self.x_coeff
-        )
-        for s, coeffs in sorted(self.branches.items()):
-            for m, c in enumerate(coeffs, start=1):
-                if m > trunc or self.ring.is_zero(c):
+        ring, level, flavor = self.ring, self.level, self.flavor
+        x = x_letter(level, flavor)
+        coeffs = {Word(level, flavor, (x,)): ring.coerce(self.x_coeff)}
+        for s, branch in self.branches.items():
+            y = y_letter(s, level, flavor)
+            for m, c in enumerate(branch[:trunc], start=1):
+                c = ring.coerce(c)
+                if ring.is_zero(c):
                     continue
-                out = out + ad_pow(
-                    self.ring, m, trunc, self.level, self.flavor, s
-                ).scale(c)
-        return out
+                for j in range(m):
+                    w = Word(level, flavor, (x,) * (m - 1 - j) + (y,) + (x,) * j)
+                    coeffs[w] = c * ((-1) ** j * comb(m - 1, j))
+        return NCSeries(ring, level, flavor, trunc, coeffs)
 
     def __repr__(self):
         return (
@@ -366,18 +372,6 @@ class GenSeries:
         return " + ".join(f"({c})*t^{k}" for k, c in enumerate(self.coeffs))
 
     __repr__ = __str__
-
-
-def apply_adx_series(g, trunc, level=1, flavor="std", y_index=0):
-    """g(ad X)(Y_s) = sum_k g_k ad(X)^k(Y_s) as a word series."""
-    out = NCSeries.zero(g.ring, level, flavor, trunc)
-    for k, c in enumerate(g.coeffs):
-        if k + 1 > trunc:
-            break
-        if g.ring.is_zero(c):
-            continue
-        out = out + ad_pow(g.ring, k + 1, trunc, level, flavor, y_index).scale(c)
-    return out
 
 
 # ---------------------------------------------------------------------------

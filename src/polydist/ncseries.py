@@ -7,9 +7,10 @@ arithmetic is exact in the quotient by words of degree > trunc).
 ``AlgebraMorphism`` is a ring map determined by letter images with zero
 constant term (so it preserves the augmentation and interacts correctly with
 exp/log).  The letter images have rational coefficients, so one morphism
-applies to series over any coefficient ring: application multiplies the
-images letter by letter in ``QQ``, with early truncation, and sums each
-target coefficient once with the series ring's ``lincomb``.
+applies to series over any coefficient ring: ``word_image`` multiplies the
+images of one word's letters in ``QQ``, with early truncation, and
+``apply`` is the linear combination of word images, summing each target
+coefficient once with the series ring's ``lincomb``.
 """
 
 from __future__ import annotations
@@ -262,21 +263,25 @@ class AlgebraMorphism:
         except KeyError:
             raise SeriesError(f"letter {letter} is not in the source alphabet")
 
+    def word_image(self, word):
+        """The image of one source word over ``QQ``: the product of its
+        letter images, truncated at the map's degree."""
+        img = NCSeries.one(QQ, self.target_level, self.target_flavor, self.trunc)
+        for letter in word.letters:
+            img = img * self.images[letter]
+            if img.is_zero():
+                break
+        return img
+
     def apply(self, series):
         """The image of ``series``, over the series' own ring."""
         if series.level != self.source_level or series.flavor != self.source_flavor:
             raise SeriesError("series does not live in the source algebra")
         trunc = min(self.trunc, series.trunc)
-        one = NCSeries.one(QQ, self.target_level, self.target_flavor, trunc)
         # (coefficient, rational) pairs per target word: one lincomb each
         pairs = {}
         for w, c in series.coeffs.items():
-            img = one
-            for letter in w.letters:
-                img = img * self.images[letter]
-                if img.is_zero():
-                    break
-            for w2, q in img.coeffs.items():
+            for w2, q in self.word_image(w).coeffs.items():
                 pairs.setdefault(w2, []).append((c, q))
         ring = series.ring
         return NCSeries(

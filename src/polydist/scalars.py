@@ -129,7 +129,7 @@ class PolyRing:
 
     def coerce(self, x):
         if isinstance(x, SymbolicPoly):
-            if x.ring is not self and x.ring != self:
+            if x.ring != self:
                 raise RingMismatchError("polynomial from a different ring")
             return x
         if isinstance(x, (int, Fraction)):
@@ -149,7 +149,9 @@ class PolyRing:
         return f"PolyRing({shown})[{len(self.gens)} gens]"
 
     def __eq__(self, other):
-        return isinstance(other, PolyRing) and self.gens == other.gens
+        return self is other or (
+            isinstance(other, PolyRing) and self.gens == other.gens
+        )
 
     def __hash__(self):
         return hash(("PolyRing", self.gens))
@@ -177,7 +179,7 @@ class SymbolicPoly:
 
     def _check(self, other):
         if isinstance(other, SymbolicPoly):
-            if other.ring is self.ring or other.ring == self.ring:
+            if other.ring == self.ring:
                 return other
             raise RingMismatchError("polynomials from different rings")
         if isinstance(other, (int, Fraction)):
@@ -186,6 +188,9 @@ class SymbolicPoly:
 
     def is_zero(self):
         return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
 
     # -- arithmetic ----------------------------------------------------
 

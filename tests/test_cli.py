@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,24 @@ def reports_of(proc):
 
 def scrubbed(reports):
     return [{k: v for k, v in r.items() if k != "ms"} for r in reports]
+
+
+# ``verify --all`` reports without ``ms``, recorded before the formal engine
+# moved to the word-by-word route; every later change must reproduce them.
+GOLDEN_VERIFY_ALL = [
+    json.loads(line)
+    for line in (Path(__file__).parent / "data" / "verify_all.jsonl")
+    .read_text()
+    .splitlines()
+]
+# numeric reports carry float residuals that depend on the platform's libm
+NUMERIC_KEYS = ("statement", "params", "status", "checks", "failures")
+
+
+def _golden_view(report):
+    if report["statement"].startswith("numeric-"):
+        return {k: report[k] for k in NUMERIC_KEYS}
+    return report
 
 
 def test_single_selector_passes():
@@ -103,6 +122,9 @@ def test_verify_all_matrix():
               "numeric-calibration", "numeric-distribution",
               "numeric-cross-oracle", "numeric-classical"):
         assert s in statements, s
+    assert [_golden_view(r) for r in scrubbed(reports)] == [
+        _golden_view(r) for r in GOLDEN_VERIFY_ALL
+    ]
 
 
 def test_trials_reach_each_engine_with_its_own_default():

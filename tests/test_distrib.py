@@ -2,6 +2,7 @@
 
 import os
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,12 +23,16 @@ from polydist.distrib import (
 )
 from polydist.geometry import pi_morphism
 from polydist.ncseries import AlgebraMorphism, NCSeries
-from polydist.scalars import PolyRing
+from polydist.report import VerificationReport
+from polydist.scalars import QQ, PolyRing
 from polydist.words import (
     FLAVOR_STANDARD,
     FLAVOR_TILDE,
+    alphabet,
     empty_word,
+    enumerate_lifts,
     parse_word,
+    wt_x,
     words_up_to_degree,
     x_letter,
     y_letter,
@@ -111,6 +116,32 @@ def test_formal_distribution_standard_residual_frozen():
     assert actual - predicted == -ring.sym("c[n=2,std:Y1]")
 
 
+def _corrupted_pi(letter_of, factor, extra=()):
+    """``pi_morphism`` with one letter image scaled by ``factor`` and the
+    ``(word, coefficient)`` terms of ``extra`` added to it; ``letter_of(r·n,
+    flavor)`` picks the letter."""
+
+    def corrupted(r, n, trunc, flavor=FLAVOR_STANDARD):
+        phi = pi_morphism(r, n, trunc, flavor)
+        letter = letter_of(r * n, flavor)
+        images = dict(phi.images)
+        images[letter] = images[letter].scale(factor) + NCSeries(
+            QQ, r, flavor, trunc, dict(extra)
+        )
+        return AlgebraMorphism(r * n, flavor, r, flavor, images, trunc)
+
+    return corrupted
+
+
+def _x_times_n_plus_1(n):
+    """X -> (n+1)·X instead of n·X."""
+    return _corrupted_pi(x_letter, Fraction(n + 1, n))
+
+
+def _y0_doubled():
+    return _corrupted_pi(lambda level, flavor: y_letter(0, level, flavor), 2)
+
+
 @pytest.mark.parametrize(
     "flavor, corrupt_x, failing",
     [
@@ -120,23 +151,167 @@ def test_formal_distribution_standard_residual_frozen():
     ],
 )
 def test_formal_distribution_negative_control(monkeypatch, flavor, corrupt_x, failing):
-    """One corrupted letter image of the push-forward must fail the report:
-    X -> (n+1)·X, or Y_0 -> 2·Y_0."""
-
-    def corrupted_pi(r, n, trunc, flavor):
-        phi = pi_morphism(r, n, trunc, flavor)
-        if corrupt_x:
-            letter, factor = x_letter(r * n, flavor), Fraction(n + 1, n)
-        else:
-            letter, factor = y_letter(0, r * n, flavor), Fraction(2)
-        images = dict(phi.images)
-        images[letter] = images[letter].scale(factor)
-        return AlgebraMorphism(r * n, flavor, r, flavor, images, trunc)
-
+    """One corrupted letter image of the push-forward must fail the report,
+    exactly as it fails the generic-symbol oracle: X -> (n+1)·X, or
+    Y_0 -> 2·Y_0."""
+    corrupted_pi = _x_times_n_plus_1(2) if corrupt_x else _y0_doubled()
     monkeypatch.setattr(distrib, "pi_morphism", corrupted_pi)
-    rep = verify_formal_distribution(r=1, n=2, degree=3, flavor=flavor)
+    rep = _engine_matches_oracle(1, 2, 3, flavor)
+    assert rep["status"] == "fail"
+    assert failing in [f["name"] for f in rep["failures"]]
+
+
+@pytest.mark.parametrize(
+    "engine, failing",
+    [
+        (verify_homogeneous_polylog, "pushforward-x-scaling"),
+        (verify_inhomogeneous_pipeline, "pushforward-kummer-scaling"),
+    ],
+)
+@pytest.mark.parametrize("n", [2, 3])
+def test_polylog_pipeline_negative_control(monkeypatch, engine, failing, n):
+    """X -> (n+1)·X in the push-forward must fail the X-coefficient check."""
+    monkeypatch.setattr(distrib, "pi_morphism", _x_times_n_plus_1(n))
+    rep = engine(n=n, depth=4)
     assert not rep.ok
     assert failing in [c.name for c in rep.checks if not c.ok]
+
+
+# -- the generic-symbol route, kept as the oracle of the word-by-word engine --
+
+
+def _formal_distribution_oracle(r, n, degree, flavor):
+    """``verify_formal_distribution`` by the generic-symbol route: one
+    polynomial generator c[u] per source word u, the generic group-like
+    series pushed forward through ``apply``, and every residual read off as
+    a polynomial in those generators."""
+    rn = r * n
+    report = VerificationReport(
+        "formal-distribution",
+        {"r": r, "n": n, "degree": degree, "flavor": flavor},
+    )
+    source_words = words_up_to_degree(rn, flavor, degree, min_degree=1)
+    names = ["c[" + ".".join(l.render() for l in w.letters) + "]" for w in source_words]
+    ring = PolyRing(names)
+    sym_of = {}
+    len_of_gen = {}
+    coeffs = {empty_word(rn, flavor): ring.one}
+    for w, name in zip(source_words, names):
+        s = ring.sym(name)
+        sym_of[w] = s
+        len_of_gen[ring.index[name]] = w.degree()
+        coeffs[w] = s
+    generic = NCSeries(ring, rn, flavor, degree, coeffs)
+
+    push = distrib.pi_morphism(r, n, degree, flavor)
+    image = push.apply(generic)
+
+    target_words = words_up_to_degree(r, flavor, degree, min_degree=1)
+    exact_failures = []
+    support_failures = []
+    nonzero_residuals = 0
+    sample = None
+    for w in target_words:
+        actual = image.coefficient(w)
+        scale = n ** wt_x(w)
+        expected = ring.lincomb((sym_of[u], scale) for u in enumerate_lifts(w, n))
+        residual = actual - expected
+        if flavor == FLAVOR_TILDE or wt_x(w) == 0:
+            if not residual.is_zero():
+                exact_failures.append(str(w))
+            continue
+        if residual.is_zero():
+            continue
+        nonzero_residuals += 1
+        max_len = 0
+        clean = True
+        for mono in residual.terms:
+            for idx, exp in mono:
+                max_len = max(max_len, len_of_gen[idx])
+                if len_of_gen[idx] >= w.degree():
+                    clean = False
+        if not clean:
+            support_failures.append(str(w))
+        if sample is None:
+            sample = {
+                "word": str(w),
+                "max_symbol_word_length": max_len,
+                "word_length": w.degree(),
+            }
+    report.add(
+        "empty-word-normalized",
+        image.constant_term() == ring.one,
+        "push-forward preserves the augmentation",
+    )
+    if flavor == FLAVOR_TILDE:
+        report.add(
+            "all-residuals-zero",
+            not exact_failures,
+            f"{len(target_words)} words checked"
+            + (f"; first failure {exact_failures[0]}" if exact_failures else ""),
+        )
+    else:
+        report.add(
+            "x-free-words-exact",
+            not exact_failures,
+            "zero residual on every word with no X letter"
+            + (f"; first failure {exact_failures[0]}" if exact_failures else ""),
+        )
+        report.add(
+            "residual-support-shorter-words",
+            not support_failures,
+            f"{nonzero_residuals} nonzero residuals, all on strictly "
+            "shorter-word symbols"
+            + (f"; first failure {support_failures[0]}" if support_failures else ""),
+        )
+        if sample is not None:
+            report.add_residual(kind="shorter-word-residual", **sample)
+        report.add_residual(
+            kind="residual-count",
+            nonzero=nonzero_residuals,
+            words_checked=len(target_words),
+        )
+    return report
+
+
+def _without_ms(report):
+    out = report.to_json_dict()
+    del out["ms"]
+    return out
+
+
+def _engine_matches_oracle(r, n, degree, flavor):
+    got = _without_ms(verify_formal_distribution(r=r, n=n, degree=degree, flavor=flavor))
+    assert got == _without_ms(_formal_distribution_oracle(r, n, degree, flavor))
+    return got
+
+
+@pytest.mark.parametrize("flavor", [FLAVOR_TILDE, FLAVOR_STANDARD])
+@pytest.mark.parametrize("r, n", [(1, 2), (1, 3), (2, 2), (1, 4), (2, 3), (3, 2)])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_formal_distribution_matches_generic_symbol_oracle(r, n, degree, flavor):
+    assert _engine_matches_oracle(r, n, degree, flavor)["status"] == "pass"
+
+
+@st.composite
+def _corruptions(draw):
+    r, n = draw(st.sampled_from([(1, 2), (1, 3), (2, 2)]))
+    flavor = draw(st.sampled_from([FLAVOR_TILDE, FLAVOR_STANDARD]))
+    degree = draw(st.integers(1, 3))
+    letter = draw(st.sampled_from(alphabet(r * n, flavor)))
+    factor = draw(st.sampled_from([0, 1, 2, Fraction(-1, 2)]) | fractions)
+    targets = words_up_to_degree(r, flavor, 2, min_degree=1)
+    extra = draw(st.lists(st.tuples(st.sampled_from(targets), fractions), max_size=2))
+    return (r, n, degree, flavor), _corrupted_pi(lambda *_: letter, factor, extra)
+
+
+@given(_corruptions())
+@settings(max_examples=40, deadline=None)
+def test_formal_distribution_matches_oracle_on_corrupted_images(case):
+    """One letter image scaled and perturbed by a few low-degree terms."""
+    params, corrupted_pi = case
+    with mock.patch.object(distrib, "pi_morphism", corrupted_pi):
+        _engine_matches_oracle(*params)
 
 
 def test_bch_closed_form_unique_winner():

@@ -125,6 +125,25 @@ def test_lincomb_refuses_other_rings():
         RING.lincomb([("a", 1)])
 
 
+def test_zero_polynomial_is_falsy():
+    # truthiness agrees with QQ and with ring.is_zero
+    ring = PolyRing(["a"])
+    assert not ring.zero
+    assert not QQ.zero
+    assert not ring.lincomb([(ring.sym("a"), 1), (ring.sym("a"), -1)])
+    assert ring.one and ring.sym("a") and ring.from_fraction(Fraction(-1, 3))
+    for p in (ring.zero, ring.one, ring.sym("a") - ring.sym("a")):
+        assert bool(p) is not ring.is_zero(p)
+
+
+def test_equal_rings_compare_equal_without_being_the_same():
+    a, b = PolyRing(["a", "b"]), PolyRing(["a", "b"])
+    assert a is not b and a == b and a == a
+    assert a != PolyRing(["b", "a"]) and a != QQ
+    assert (a.sym("a") + b.sym("b")).ring is a
+    assert a.coerce(b.sym("a")) == a.sym("a")
+
+
 def test_poly_str_is_deterministic():
     a, b = RING.sym("a"), RING.sym("b")
     p = b + a * a - a * Fraction(1, 2)
