@@ -21,18 +21,14 @@ from .scalars import (
 from .words import (
     FLAVOR_STANDARD,
     FLAVOR_TILDE,
-    Letter,
     Word,
     WordError,
     empty_word,
     enumerate_lifts,
     parse_word,
     reduce_mod_r,
-    word_of,
     words_up_to_degree,
     wt_x,
-    x_letter,
-    y_letter,
 )
 from .ncseries import AlgebraMorphism, NCSeries, SeriesError
 from .lie import (
@@ -109,7 +105,6 @@ __all__ = [
     "FLAVOR_TILDE",
     "FiniteMeasure",
     "GenSeries",
-    "Letter",
     "MOD_IY",
     "MOD_JY",
     "MPLQuery",
@@ -169,9 +164,6 @@ __all__ = [
     "verify_numeric_classical",
     "verify_numeric_cross_oracle",
     "verify_numeric_distribution",
-    "word_of",
     "words_up_to_degree",
     "wt_x",
-    "x_letter",
-    "y_letter",
 ]

@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from math import gcd
 
 from . import distrib, measures, polylog_num
-from .words import parse_word
+from .words import WordError, parse_word
 
 VERIFY_SELECTORS = (
     "formal-distribution",
@@ -42,6 +42,13 @@ def _parse_z(text):
         re_part, im_part = text.split(",", 1)
         return complex(float(re_part), float(im_part))
     return complex(float(text), 0.0)
+
+
+def _parse_word(text):
+    try:
+        return parse_word(text)
+    except WordError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _verify_tasks(args):
@@ -137,7 +144,7 @@ def _numeric_tasks(args, sel=None):
             ]
         )
         for r, n, z in combos:
-            words = [parse_word(t) for t in args.word] if args.word else None
+            words = args.word or None
             tasks.append(
                 (
                     "distribution",
@@ -210,7 +217,7 @@ def build_parser():
         p.add_argument("--flavor", choices=("std", "til"), default="til")
         p.add_argument("--candidate", default="both",
                        choices=("shift-denominator", "base-denominator", "both"))
-        p.add_argument("--word", action="append", default=[],
+        p.add_argument("--word", action="append", default=[], type=_parse_word,
                        help="word in text form, repeatable")
         p.add_argument("--out", default=None, help="also write ND-JSON here")
         p.add_argument("--jobs", type=int, default=1)

@@ -33,14 +33,7 @@ from math import factorial
 
 from .ncseries import AlgebraMorphism, NCSeries, SeriesError
 from .scalars import QQ
-from .words import (
-    FLAVOR_STANDARD,
-    FLAVOR_TILDE,
-    Word,
-    alphabet,
-    x_letter,
-    y_letter,
-)
+from .words import FLAVOR_STANDARD, FLAVOR_TILDE, Word
 
 
 def conjugated_puncture_letter(k, trunc, level=1, flavor=FLAVOR_STANDARD, y_index=0):
@@ -49,15 +42,13 @@ def conjugated_puncture_letter(k, trunc, level=1, flavor=FLAVOR_STANDARD, y_inde
     Equals sum over a+b <= trunc-1 of k^a (-k)^b / (a! b!) X^a . Y_s . X^b,
     over ``QQ``.
     """
-    x = x_letter(level, flavor)
-    y = y_letter(y_index, level, flavor)
     coeffs = {}
     for a in range(trunc):
         for b in range(trunc - a):
             c = Fraction(k**a * (-k) ** b, factorial(a) * factorial(b))
             if not c:
                 continue
-            w = Word(level, flavor, (x,) * a + (y,) + (x,) * b)
+            w = Word(level, flavor, (0,) * a + (1 + y_index,) + (0,) * b)
             coeffs[w] = c
     return NCSeries(QQ, level, flavor, trunc, coeffs)
 
@@ -68,17 +59,13 @@ def pi_morphism(r, n, trunc, flavor=FLAVOR_STANDARD):
         raise SeriesError("levels must be positive")
     rn = r * n
     images = {}
-    for letter in alphabet(rn, flavor):
-        if letter.is_x:
-            img = NCSeries.monomial(
-                QQ, Word(r, flavor, (x_letter(r, flavor),)), trunc, n
-            )
+    for letter in range(rn + 1):
+        k, i = divmod(letter - 1, r)  # Y_j with j = i + k*r
+        if letter == 0:
+            img = NCSeries.monomial(QQ, Word(r, flavor, (0,)), trunc, n)
         elif flavor == FLAVOR_TILDE:
-            img = NCSeries.monomial(
-                QQ, Word(r, flavor, (y_letter(letter.index % r, r, flavor),)), trunc
-            )
+            img = NCSeries.monomial(QQ, Word(r, flavor, (1 + i,)), trunc)
         else:
-            i, k = letter.index % r, letter.index // r
             img = conjugated_puncture_letter(k, trunc, r, flavor, i)
         images[letter] = img
     return AlgebraMorphism(rn, flavor, r, flavor, images, trunc)
@@ -88,15 +75,14 @@ def j_zeta_morphism(n, s, trunc, flavor=FLAVOR_STANDARD):
     """Specialization at the n-th unit root with applied index s, to level 1."""
     if not 0 <= s < n:
         raise SeriesError(f"applied index {s} out of range for level {n}")
-    y1 = Word(1, flavor, (y_letter(0, 1, flavor),))
     images = {}
-    for letter in alphabet(n, flavor):
-        if letter.is_x:
-            img = NCSeries.monomial(QQ, Word(1, flavor, (x_letter(1, flavor),)), trunc)
-        elif letter.index != s:
+    for letter in range(n + 1):
+        if letter == 0:
+            img = NCSeries.monomial(QQ, Word(1, flavor, (0,)), trunc)
+        elif letter != 1 + s:
             img = NCSeries.zero(QQ, 1, flavor, trunc)
         elif flavor == FLAVOR_TILDE or s == 0:
-            img = NCSeries.monomial(QQ, y1, trunc)
+            img = NCSeries.monomial(QQ, Word(1, flavor, (1,)), trunc)
         else:
             img = conjugated_puncture_letter(1, trunc, 1, flavor, 0)
         images[letter] = img
@@ -112,5 +98,4 @@ def galois_twist_delta(ring, s, n, trunc, flavor=FLAVOR_STANDARD):
         return NCSeries.zero(ring, 1, flavor, trunc)
     chi = ring.sym("chi")
     coeff = (chi - 1) * Fraction(s, n)
-    xw = Word(1, flavor, (x_letter(1, flavor),))
-    return NCSeries.monomial(ring, xw, trunc, coeff)
+    return NCSeries.monomial(ring, Word(1, flavor, (0,)), trunc, coeff)

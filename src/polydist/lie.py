@@ -24,7 +24,7 @@ from functools import lru_cache
 from math import comb
 
 from .ncseries import NCSeries, SeriesError
-from .words import Word, x_letter, y_letter
+from .words import Word, wt_x
 
 MOD_IY = "IY"
 MOD_JY = "JY"
@@ -44,15 +44,12 @@ class NotPolylogError(ValueError):
 
 
 def _survives_iy(w):
-    return sum(1 for l in w.letters if not l.is_x) < 2
+    return len(w.letters) - wt_x(w) < 2
 
 
 def _survives_jy(w):
     # no Y may follow anything: survivors are X^i and Y.X^i
-    for i, l in enumerate(w.letters):
-        if not l.is_x and i > 0:
-            return False
-    return True
+    return not any(w.letters[1:])
 
 
 def reduce_mod_ideal(series, which):
@@ -136,11 +133,9 @@ def ad_pow(ring, m, trunc, level=1, flavor="std", y_index=0):
         raise ValueError("bracket depth m must be >= 1")
     if m > trunc:
         raise SeriesError(f"degree {m} exceeds truncation {trunc}")
-    x = x_letter(level, flavor)
-    y = y_letter(y_index, level, flavor)
     coeffs = {}
     for j in range(m):
-        w = Word(level, flavor, (x,) * (m - 1 - j) + (y,) + (x,) * j)
+        w = Word(level, flavor, (0,) * (m - 1 - j) + (1 + y_index,) + (0,) * j)
         c = ring.from_int((-1) ** j * comb(m - 1, j))
         coeffs[w] = c
     return NCSeries(ring, level, flavor, trunc, coeffs)
@@ -188,16 +183,14 @@ class PolylogPart:
         """
         trunc = self.depth if trunc is None else trunc
         ring, level, flavor = self.ring, self.level, self.flavor
-        x = x_letter(level, flavor)
-        coeffs = {Word(level, flavor, (x,)): ring.coerce(self.x_coeff)}
+        coeffs = {Word(level, flavor, (0,)): ring.coerce(self.x_coeff)}
         for s, branch in self.branches.items():
-            y = y_letter(s, level, flavor)
             for m, c in enumerate(branch[:trunc], start=1):
                 c = ring.coerce(c)
                 if ring.is_zero(c):
                     continue
                 for j in range(m):
-                    w = Word(level, flavor, (x,) * (m - 1 - j) + (y,) + (x,) * j)
+                    w = Word(level, flavor, (0,) * (m - 1 - j) + (1 + s,) + (0,) * j)
                     coeffs[w] = c * ((-1) ** j * comb(m - 1, j))
         return NCSeries(ring, level, flavor, trunc, coeffs)
 
@@ -223,14 +216,12 @@ def polylog_part(lam, depth=None):
     if depth > lam.trunc:
         raise SeriesError(f"depth {depth} exceeds truncation {lam.trunc}")
     reduced = reduce_mod_ideal(lam, MOD_IY)
-    x = x_letter(lam.level, lam.flavor)
-    x_coeff = reduced.coefficient(Word(lam.level, lam.flavor, (x,)))
+    x_coeff = reduced.coefficient(Word(lam.level, lam.flavor, (0,)))
     branches = {}
     for s in range(lam.level):
-        y = y_letter(s, lam.level, lam.flavor)
         coeffs = []
         for m in range(1, depth + 1):
-            w = Word(lam.level, lam.flavor, (y,) + (x,) * (m - 1))
+            w = Word(lam.level, lam.flavor, (1 + s,) + (0,) * (m - 1))
             c = reduced.coefficient(w)
             if m % 2 == 0:
                 c = -c

@@ -16,7 +16,7 @@ coefficient once with the series ring's ``lincomb``.
 from __future__ import annotations
 
 from .scalars import QQ
-from .words import alphabet, empty_word
+from .words import empty_word, render_letters
 
 class SeriesError(ValueError):
     """Raised for level/flavor/ring mismatches and degree overflows."""
@@ -209,7 +209,7 @@ class NCSeries:
         parts = []
         for w in self.support():
             c = self.coeffs[w]
-            body = ".".join(l.render() for l in w.letters) or "1"
+            body = render_letters(w.letters) or "1"
             parts.append(f"({c})*{body}")
         return " + ".join(parts)
 
@@ -219,10 +219,11 @@ class NCSeries:
 class AlgebraMorphism:
     """Algebra map between truncated series algebras, given on letters.
 
-    Every source letter must have an image (possibly zero) over ``QQ`` with
-    zero constant term, living in the target algebra.  Application to a
-    series over any ring is multiplicative substitution with truncation at
-    min(source trunc, map trunc); composition composes letter images.
+    ``images`` maps every source letter, an int in ``range(source_level + 1)``,
+    to an image (possibly zero) over ``QQ`` with zero constant term, living
+    in the target algebra.  Application to a series over any ring is
+    multiplicative substitution with truncation at min(source trunc, map
+    trunc); composition composes letter images.
     """
 
     def __init__(
@@ -239,20 +240,20 @@ class AlgebraMorphism:
         self.target_level = target_level
         self.target_flavor = target_flavor
         self.trunc = trunc
+        if set(images) != set(range(source_level + 1)):
+            raise SeriesError(
+                f"images must be given for exactly the letters 0..{source_level}"
+            )
         self.images = {}
-        for letter in alphabet(source_level, source_flavor):
-            if letter not in images:
-                raise SeriesError(f"no image given for letter {letter}")
         for letter, img in images.items():
-            if letter.level != source_level or letter.flavor != source_flavor:
-                raise SeriesError(f"letter {letter} is not in the source alphabet")
+            name = render_letters((letter,))
             if img.level != target_level or img.flavor != target_flavor:
-                raise SeriesError(f"image of {letter} is not in the target algebra")
+                raise SeriesError(f"image of {name} is not in the target algebra")
             if img.ring != QQ:
-                raise SeriesError(f"image of {letter} is not over QQ")
+                raise SeriesError(f"image of {name} is not over QQ")
             if img.constant_term():
                 raise SeriesError(
-                    f"image of {letter} has nonzero constant term "
+                    f"image of {name} has nonzero constant term "
                     "(augmentation not preserved)"
                 )
             self.images[letter] = img.truncate(min(trunc, img.trunc))

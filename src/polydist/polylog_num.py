@@ -30,15 +30,7 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from .report import VerificationReport, timed
-from .words import (
-    FLAVOR_STANDARD,
-    Word,
-    enumerate_lifts,
-    word_of,
-    wt_x,
-    x_letter,
-    y_letter,
-)
+from .words import FLAVOR_STANDARD, Word, enumerate_lifts, wt_x
 
 
 class DivergentWordError(ValueError):
@@ -71,7 +63,7 @@ def _validate_word(word):
         )
     if not word.letters:
         raise DivergentWordError("the empty word has no iterated integral")
-    if word.letters[0].is_x:
+    if word.letters[0] == 0:
         raise DivergentWordError(
             f"word {word} starts with X: the integral diverges at the base point"
         )
@@ -105,7 +97,7 @@ def mpl_series(query):
 
     letters = query.word.letters
     # innermost letter: Y_i gives alpha_m = -xi^(-m)/m
-    xi = zeta ** letters[0].index
+    xi = zeta ** (letters[0] - 1)
     inv_xi = 1.0 / xi
     alpha = np.zeros(terms + 1, dtype=complex)
     powers = np.power(inv_xi, np.arange(terms + 1))
@@ -113,10 +105,10 @@ def mpl_series(query):
     ms[0] = 1.0
     alpha[1:] = -powers[1:] / ms[1:]
     for letter in letters[1:]:
-        if letter.is_x:
+        if letter == 0:
             alpha[1:] = alpha[1:] / ms[1:]
         else:
-            xi = zeta**letter.index
+            xi = zeta ** (letter - 1)
             xi_pow = np.power(xi, np.arange(terms + 1))
             prefix = np.cumsum(alpha * xi_pow)
             new = np.zeros_like(alpha)
@@ -207,10 +199,10 @@ def _integral_from(eps, word, z, zeta, nodes):
 
     level_vals = [np.ones(nodes, dtype=complex) for _ in panels]
     for letter in word.letters:
-        if letter.is_x:
+        if letter == 0:
             forms = [1.0 / t for (_, _, t) in panels]
         else:
-            pole = zeta**letter.index
+            pole = zeta ** (letter - 1)
             forms = [z / (t * z - pole) for (_, _, t) in panels]
         start = 0j
         new_vals = []
@@ -258,7 +250,7 @@ def iterint_quadrature(query, options=None):
                 f"integration ray passes within {d:.3g} of puncture index {i}"
             )
 
-    x_count = sum(1 for letter in query.word.letters if letter.is_x)
+    x_count = wt_x(query.word)
     levels = max(options.levels, x_count + 3)
     eps = np.array([options.eps * 0.5**j for j in range(levels)])
     values = np.array(
@@ -304,9 +296,7 @@ def verify_numeric_calibration(k_max=5, zs=None, tol=1e-10):
         worst = 0.0
         ok = True
         for k in range(1, k_max + 1):
-            w = word_of(
-                [y_letter(0, 1)] + [x_letter(1)] * (k - 1), 1
-            )
+            w = Word(1, FLAVOR_STANDARD, (1,) + (0,) * (k - 1))
             for z in zs:
                 got = mpl_series(MPLQuery(w, z, tol=tol / 10))
                 want = -li_classical(k, z, tol=tol / 10)
@@ -325,7 +315,12 @@ def verify_numeric_calibration(k_max=5, zs=None, tol=1e-10):
 
 def verify_numeric_distribution(r, n, z, words=None, tol=1e-10, max_degree=3):
     """Numerical distribution relation at a point: for level-r words w,
-    value(w at z^n) = n^(wt_x(w)) * sum of values over lifts(w, n) at z."""
+    value(w at z^n) = n^(wt_x(w)) * sum of values over lifts(w, n) at z.
+
+    Raises ValueError for a given word whose level is not r."""
+    for w in words or ():
+        if w.level != r:
+            raise ValueError(f"word {w} is not at level r = {r}")
     z = complex(z)
     report = VerificationReport(
         "numeric-distribution",
@@ -336,7 +331,7 @@ def verify_numeric_distribution(r, n, z, words=None, tol=1e-10, max_degree=3):
             words = [
                 w
                 for w in _convergent_words(r, max_degree)
-                if sum(1 for l in w.letters if not l.is_x) <= 2
+                if len(w.letters) - wt_x(w) <= 2
             ]
         worst = 0.0
         ok = True
@@ -368,7 +363,7 @@ def _convergent_words(level, max_degree):
     return [
         w
         for w in words_up_to_degree(level, FLAVOR_STANDARD, max_degree, 1)
-        if not w.letters[0].is_x
+        if w.letters[0] != 0
     ]
 
 
@@ -390,15 +385,15 @@ def verify_numeric_cross_oracle(
             attempts += 1
             level = rng.choice([1, 2, 3])
             degree = rng.randint(1, max_degree)
-            letters = [y_letter(rng.randrange(level), level)]
+            letters = [1 + rng.randrange(level)]
             depth = 1
             for _ in range(degree - 1):
                 if depth < max_depth and rng.random() < 0.4:
-                    letters.append(y_letter(rng.randrange(level), level))
+                    letters.append(1 + rng.randrange(level))
                     depth += 1
                 else:
-                    letters.append(x_letter(level))
-            w = word_of(letters, level)
+                    letters.append(0)
+            w = Word(level, FLAVOR_STANDARD, tuple(letters))
             radius = 0.15 + 0.85 * z_cap * rng.random()
             angle = 2 * math.pi * rng.random()
             z = radius * cmath.exp(1j * angle)

@@ -2,7 +2,9 @@
 
 At level n there is one translation-invariant letter X and n puncture
 letters Y0..Y(n-1), one per n-th root of unity (indexed anticlockwise).
-Words carry their level and a flavor:
+A letter is a small int: 0 is X and 1 + i is Y_i, so the alphabet of level
+n is ``range(n + 1)`` and plain int order is the canonical letter order
+X < Y0 < ... < Y(n-1).  Words carry their level and a flavor:
 
 - "std" — the inhomogeneous (full monodromy) coordinates;
 - "til" — the homogeneized coordinates, where push-forwards act diagonally.
@@ -26,57 +28,9 @@ class WordError(ValueError):
     """Raised for malformed letters/words or mismatched levels/flavors."""
 
 
-@dataclass(frozen=True)
-class Letter:
-    """One alphabet letter: kind 'X' (index 0) or 'Y' with index in [0, level)."""
-
-    kind: str
-    index: int
-    level: int
-    flavor: str
-
-    def __post_init__(self):
-        if self.flavor not in FLAVORS:
-            raise WordError(f"unknown flavor {self.flavor!r}")
-        if self.level < 1:
-            raise WordError(f"level must be >= 1, got {self.level}")
-        if self.kind == "X":
-            if self.index != 0:
-                raise WordError("X letter must have index 0")
-        elif self.kind == "Y":
-            if not 0 <= self.index < self.level:
-                raise WordError(
-                    f"Y index {self.index} out of range for level {self.level}"
-                )
-        else:
-            raise WordError(f"unknown letter kind {self.kind!r}")
-
-    @property
-    def is_x(self):
-        return self.kind == "X"
-
-    def sort_key(self):
-        return (0, 0) if self.kind == "X" else (1, self.index)
-
-    def render(self):
-        return "X" if self.kind == "X" else f"Y{self.index}"
-
-    def __str__(self):
-        return self.render()
-
-
-def x_letter(level, flavor=FLAVOR_STANDARD):
-    return Letter("X", 0, level, flavor)
-
-def y_letter(index, level, flavor=FLAVOR_STANDARD):
-    return Letter("Y", index, level, flavor)
-
-
-def alphabet(level, flavor=FLAVOR_STANDARD):
-    """All letters at a level, in canonical order: X, Y0, ..., Y(level-1)."""
-    return [x_letter(level, flavor)] + [
-        y_letter(s, level, flavor) for s in range(level)
-    ]
+def render_letters(letters):
+    """The dotted text of int letters: ``(6, 0, 0)`` -> ``Y5.X.X``."""
+    return ".".join("X" if a == 0 else f"Y{a - 1}" for a in letters)
 
 
 @total_ordering
@@ -84,8 +38,9 @@ def alphabet(level, flavor=FLAVOR_STANDARD):
 class Word:
     """A word in the level alphabet; the monomial basis of the series algebra.
 
-    The level/flavor live on the word itself so that the empty word is still
-    tagged.  Ordering is graded: first by length, then letterwise.
+    ``letters`` is a tuple of ints in ``range(level + 1)``.  The level/flavor
+    live on the word itself so that the empty word is still tagged.
+    Ordering is graded: first by length, then letterwise.
     """
 
     level: int
@@ -93,17 +48,22 @@ class Word:
     letters: tuple
 
     def __post_init__(self):
-        for let in self.letters:
-            if let.level != self.level or let.flavor != self.flavor:
+        if self.flavor not in FLAVORS:
+            raise WordError(f"unknown flavor {self.flavor!r}")
+        if self.level < 1:
+            raise WordError(f"level must be >= 1, got {self.level}")
+        for a in self.letters:
+            if not 0 <= a <= self.level:
                 raise WordError(
-                    f"letter {let} does not live at level {self.level}/{self.flavor}"
+                    f"letter {a!r} out of range for level {self.level} "
+                    "(0 is X, 1 + i is Y_i)"
                 )
 
     def degree(self):
         return len(self.letters)
 
     def sort_key(self):
-        return (len(self.letters), tuple(l.sort_key() for l in self.letters))
+        return (len(self.letters), self.letters)
 
     def __lt__(self, other):
         if not isinstance(other, Word):
@@ -118,8 +78,7 @@ class Word:
         return Word(self.level, self.flavor, self.letters + other.letters)
 
     def render(self):
-        body = ".".join(l.render() for l in self.letters)
-        return f"n={self.level},{self.flavor}:{body}"
+        return f"n={self.level},{self.flavor}:{render_letters(self.letters)}"
 
     def __str__(self):
         return self.render()
@@ -127,9 +86,6 @@ class Word:
 
 def empty_word(level, flavor=FLAVOR_STANDARD):
     return Word(level, flavor, ())
-
-def word_of(letters, level, flavor=FLAVOR_STANDARD):
-    return Word(level, flavor, tuple(letters))
 
 
 def parse_word(text):
@@ -144,9 +100,9 @@ def parse_word(text):
         if body:
             for tok in body.split("."):
                 if tok == "X":
-                    letters.append(x_letter(level, flavor))
-                elif tok.startswith("Y"):
-                    letters.append(y_letter(int(tok[1:]), level, flavor))
+                    letters.append(0)
+                elif tok.startswith("Y") and int(tok[1:]) >= 0:
+                    letters.append(1 + int(tok[1:]))
                 else:
                     raise WordError(f"bad letter token {tok!r}")
         return Word(level, flavor, tuple(letters))
@@ -158,15 +114,14 @@ def parse_word(text):
 
 def wt_x(w):
     """Number of X letters in the word (the 'translation weight')."""
-    return sum(1 for l in w.letters if l.is_x)
+    return w.letters.count(0)
 
 
 def words_up_to_degree(level, flavor, max_degree, min_degree=0):
     """All words of degree in [min_degree, max_degree], in canonical order."""
-    letters = alphabet(level, flavor)
     out = []
     for d in range(min_degree, max_degree + 1):
-        for combo in itertools.product(letters, repeat=d):
+        for combo in itertools.product(range(level + 1), repeat=d):
             out.append(Word(level, flavor, combo))
     return out
 
@@ -178,10 +133,7 @@ def reduce_mod_r(w, r):
     """
     if w.level % r != 0:
         raise WordError(f"level {w.level} is not divisible by {r}")
-    letters = tuple(
-        x_letter(r, w.flavor) if l.is_x else y_letter(l.index % r, r, w.flavor)
-        for l in w.letters
-    )
+    letters = tuple(1 + (a - 1) % r if a else 0 for a in w.letters)
     return Word(r, w.flavor, letters)
 
 
@@ -189,18 +141,9 @@ def enumerate_lifts(w, n):
     """All words at level ``w.level * n`` that reduce to ``w``.
 
     X lifts uniquely; each Y index i lifts to i + t*level for t in [0, n).
-    Returns the lifts in canonical order; there are n**(#Y letters) of them.
+    The product of the increasing per-letter choices is already in
+    canonical order; there are n**(#Y letters) lifts.
     """
     r = w.level
-    rn = r * n
-    choices = []
-    for l in w.letters:
-        if l.is_x:
-            choices.append((x_letter(rn, w.flavor),))
-        else:
-            choices.append(
-                tuple(y_letter(l.index + t * r, rn, w.flavor) for t in range(n))
-            )
-    lifts = [Word(rn, w.flavor, combo) for combo in itertools.product(*choices)]
-    lifts.sort()
-    return lifts
+    choices = [range(a, a + n * r, r) if a else (0,) for a in w.letters]
+    return [Word(r * n, w.flavor, combo) for combo in itertools.product(*choices)]

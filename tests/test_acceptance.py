@@ -25,7 +25,7 @@ from polydist.polylog_num import (
     verify_numeric_cross_oracle,
     verify_numeric_distribution,
 )
-from polydist.words import parse_word, word_of, x_letter, y_letter
+from polydist.words import parse_word
 
 
 def certify(report):
@@ -145,9 +145,7 @@ def test_09_bernoulli_congruence_exhaustive():
 def test_10_numerics_calibration_distribution_and_cross_oracle():
     certify(verify_numeric_calibration(k_max=5, tol=1e-10))
 
-    kubert_words = [
-        word_of([y_letter(0, 1)] + [x_letter(1)] * (k - 1), 1) for k in range(1, 6)
-    ]
+    kubert_words = [parse_word("n=1,std:Y0" + ".X" * (k - 1)) for k in range(1, 6)]
     for n in (2, 3):
         for z in (0.5, -0.3, 0.3 + 0.2j):
             certify(

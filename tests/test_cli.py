@@ -108,6 +108,21 @@ def test_out_file_and_word_flag(tmp_path):
     assert scrubbed(on_disk) == scrubbed(reports_of(proc))
 
 
+def test_unparsable_word_exits_2():
+    proc = run_cli("numeric", "distribution", "--word", "garbage")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "bad word header 'garbage'" in proc.stderr
+
+
+def test_word_at_wrong_level_exits_2():
+    proc = run_cli("numeric", "distribution", "--r", "1", "--n", "2",
+                   "--word", "n=5,std:Y0")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "not at level r = 1" in proc.stderr
+
+
 @pytest.mark.slow
 def test_verify_all_matrix():
     proc = run_cli("verify", "--all", "--jobs", "4")

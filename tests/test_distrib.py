@@ -22,20 +22,19 @@ from polydist.distrib import (
     verify_inhomogeneous_pipeline,
 )
 from polydist.geometry import pi_morphism
+from polydist.lie import bernoulli_number, beta_series
 from polydist.ncseries import AlgebraMorphism, NCSeries
 from polydist.report import VerificationReport
 from polydist.scalars import QQ, PolyRing
 from polydist.words import (
     FLAVOR_STANDARD,
     FLAVOR_TILDE,
-    alphabet,
     empty_word,
     enumerate_lifts,
     parse_word,
+    render_letters,
     wt_x,
     words_up_to_degree,
-    x_letter,
-    y_letter,
 )
 
 fractions = st.fractions(min_value=-8, max_value=8, max_denominator=6)
@@ -116,14 +115,13 @@ def test_formal_distribution_standard_residual_frozen():
     assert actual - predicted == -ring.sym("c[n=2,std:Y1]")
 
 
-def _corrupted_pi(letter_of, factor, extra=()):
-    """``pi_morphism`` with one letter image scaled by ``factor`` and the
-    ``(word, coefficient)`` terms of ``extra`` added to it; ``letter_of(r·n,
-    flavor)`` picks the letter."""
+def _corrupted_pi(letter, factor, extra=()):
+    """``pi_morphism`` with the image of the int ``letter`` (0 is X, 1 + i
+    is Y_i) scaled by ``factor`` and the ``(word, coefficient)`` terms of
+    ``extra`` added to it."""
 
     def corrupted(r, n, trunc, flavor=FLAVOR_STANDARD):
         phi = pi_morphism(r, n, trunc, flavor)
-        letter = letter_of(r * n, flavor)
         images = dict(phi.images)
         images[letter] = images[letter].scale(factor) + NCSeries(
             QQ, r, flavor, trunc, dict(extra)
@@ -135,11 +133,11 @@ def _corrupted_pi(letter_of, factor, extra=()):
 
 def _x_times_n_plus_1(n):
     """X -> (n+1)·X instead of n·X."""
-    return _corrupted_pi(x_letter, Fraction(n + 1, n))
+    return _corrupted_pi(0, Fraction(n + 1, n))
 
 
 def _y0_doubled():
-    return _corrupted_pi(lambda level, flavor: y_letter(0, level, flavor), 2)
+    return _corrupted_pi(1, 2)
 
 
 @pytest.mark.parametrize(
@@ -177,6 +175,45 @@ def test_polylog_pipeline_negative_control(monkeypatch, engine, failing, n):
     assert failing in [c.name for c in rep.checks if not c.ok]
 
 
+def _beta_t2_shifted(ring, degree):
+    """beta(t) with its t^2 coefficient raised by 1/5."""
+    beta = beta_series(ring, degree)
+    beta.coeffs[2] = beta.coeffs[2] + Fraction(1, 5)
+    return beta
+
+
+def _bernoulli_b2_shifted(k):
+    """B_k with B_2 raised by 1/7."""
+    return bernoulli_number(k) + (Fraction(1, 7) if k == 2 else 0)
+
+
+def _tangential_doubled(ring, k):
+    return tangential_even_character(ring, k) * 2
+
+
+@pytest.mark.parametrize(
+    "source, corrupted, engine, kwargs, failing",
+    [
+        ("beta_series", _beta_t2_shifted, verify_bch_closed_form, {"degree": 5},
+         {"left-shift-closed-form"}),
+        ("bernoulli_number", _bernoulli_b2_shifted, verify_conversions, {"depth": 6},
+         {"roundtrip-chi-li-chi", "single-y-log-extraction"}),
+        ("tangential_even_character", _tangential_doubled,
+         derive_eisenstein_specialization, {"k_max": 3},
+         {"minus-one-depth2-value"}),
+    ],
+    ids=["bch-closed-form", "conversions", "eisenstein-specialization"],
+)
+def test_coefficient_source_negative_control(
+    monkeypatch, source, corrupted, engine, kwargs, failing
+):
+    """One corrupted coefficient source in ``distrib`` must fail the report."""
+    monkeypatch.setattr(distrib, source, corrupted)
+    rep = engine(**kwargs)
+    assert rep.to_json_dict()["status"] == "fail"
+    assert failing <= {c.name for c in rep.checks if not c.ok}
+
+
 # -- the generic-symbol route, kept as the oracle of the word-by-word engine --
 
 
@@ -191,7 +228,7 @@ def _formal_distribution_oracle(r, n, degree, flavor):
         {"r": r, "n": n, "degree": degree, "flavor": flavor},
     )
     source_words = words_up_to_degree(rn, flavor, degree, min_degree=1)
-    names = ["c[" + ".".join(l.render() for l in w.letters) + "]" for w in source_words]
+    names = ["c[" + render_letters(w.letters) + "]" for w in source_words]
     ring = PolyRing(names)
     sym_of = {}
     len_of_gen = {}
@@ -298,11 +335,11 @@ def _corruptions(draw):
     r, n = draw(st.sampled_from([(1, 2), (1, 3), (2, 2)]))
     flavor = draw(st.sampled_from([FLAVOR_TILDE, FLAVOR_STANDARD]))
     degree = draw(st.integers(1, 3))
-    letter = draw(st.sampled_from(alphabet(r * n, flavor)))
+    letter = draw(st.sampled_from(range(r * n + 1)))
     factor = draw(st.sampled_from([0, 1, 2, Fraction(-1, 2)]) | fractions)
     targets = words_up_to_degree(r, flavor, 2, min_degree=1)
     extra = draw(st.lists(st.tuples(st.sampled_from(targets), fractions), max_size=2))
-    return (r, n, degree, flavor), _corrupted_pi(lambda *_: letter, factor, extra)
+    return (r, n, degree, flavor), _corrupted_pi(letter, factor, extra)
 
 
 @given(_corruptions())

@@ -12,21 +12,14 @@ from polydist.geometry import (
 )
 from polydist.ncseries import NCSeries
 from polydist.scalars import QQ, PolyRing, UnknownSymbolError
-from polydist.words import (
-    FLAVOR_STANDARD,
-    FLAVOR_TILDE,
-    alphabet,
-    word_of,
-    x_letter,
-    y_letter,
-)
+from polydist.words import FLAVOR_STANDARD, FLAVOR_TILDE, parse_word
 
 
 def test_conjugation_matches_exp_sandwich():
     # exp(kX) Y exp(-kX), expanded directly, for several k
     trunc = 6
-    x = NCSeries.monomial(QQ, word_of([x_letter(1)], 1), trunc)
-    y = NCSeries.monomial(QQ, word_of([y_letter(0, 1)], 1), trunc)
+    x = NCSeries.monomial(QQ, parse_word("n=1,std:X"), trunc)
+    y = NCSeries.monomial(QQ, parse_word("n=1,std:Y0"), trunc)
     for k in (-2, -1, 0, 1, 3):
         sandwich = x.scale(Fraction(k)).exp() * y * x.scale(Fraction(-k)).exp()
         assert conjugated_puncture_letter(k, trunc) == sandwich
@@ -35,23 +28,19 @@ def test_conjugation_matches_exp_sandwich():
 def test_pi_images_doubling():
     trunc = 3
     phi = pi_morphism(1, 2, trunc, FLAVOR_STANDARD)
-    x2 = x_letter(2)
-    y02, y12 = y_letter(0, 2), y_letter(1, 2)
-    x = NCSeries.monomial(QQ, word_of([x_letter(1)], 1), trunc)
-    y = NCSeries.monomial(QQ, word_of([y_letter(0, 1)], 1), trunc)
-    assert phi.letter_image(x2) == x.scale(Fraction(2))
-    assert phi.letter_image(y02) == y
-    assert phi.letter_image(y12) == x.exp() * y * (-x).exp()
+    x = NCSeries.monomial(QQ, parse_word("n=1,std:X"), trunc)
+    y = NCSeries.monomial(QQ, parse_word("n=1,std:Y0"), trunc)
+    assert phi.letter_image(0) == x.scale(Fraction(2))  # X
+    assert phi.letter_image(1) == y  # Y0
+    assert phi.letter_image(2) == x.exp() * y * (-x).exp()  # Y1
 
 
 def test_pi_tilde_forgets_conjugation():
     trunc = 4
     phi = pi_morphism(2, 2, trunc, FLAVOR_TILDE)
     for j in range(4):
-        img = phi.letter_image(y_letter(j, 4, FLAVOR_TILDE))
-        want = NCSeries.monomial(
-            QQ, word_of([y_letter(j % 2, 2, FLAVOR_TILDE)], 2, FLAVOR_TILDE), trunc
-        )
+        img = phi.letter_image(1 + j)
+        want = NCSeries.monomial(QQ, parse_word(f"n=2,til:Y{j % 2}"), trunc)
         assert img == want
 
 
@@ -64,7 +53,7 @@ def test_pi_tower_composition(flavor):
         upper = pi_morphism(r * n, m, trunc, flavor)
         direct = pi_morphism(r, n * m, trunc, flavor)
         composed = lower.compose(upper)
-        for letter in alphabet(r * n * m, flavor):
+        for letter in range(r * n * m + 1):
             assert composed.letter_image(letter) == direct.letter_image(letter)
 
 
@@ -72,29 +61,27 @@ def test_j_zeta_branch_projection():
     trunc = 4
     n = 3
     phi = j_zeta_morphism(n, 1, trunc, FLAVOR_STANDARD)
-    x = NCSeries.monomial(QQ, word_of([x_letter(1)], 1), trunc)
-    y = NCSeries.monomial(QQ, word_of([y_letter(0, 1)], 1), trunc)
-    assert phi.letter_image(x_letter(n)) == x
-    assert phi.letter_image(y_letter(1, n)) == x.exp() * y * (-x).exp()
-    assert phi.letter_image(y_letter(0, n)).is_zero()
-    assert phi.letter_image(y_letter(2, n)).is_zero()
+    x = NCSeries.monomial(QQ, parse_word("n=1,std:X"), trunc)
+    y = NCSeries.monomial(QQ, parse_word("n=1,std:Y0"), trunc)
+    assert phi.letter_image(0) == x
+    assert phi.letter_image(2) == x.exp() * y * (-x).exp()  # Y1
+    assert phi.letter_image(1).is_zero()  # Y0
+    assert phi.letter_image(3).is_zero()  # Y2
 
 
 def test_j_zeta_base_branch():
     trunc = 3
     phi = j_zeta_morphism(2, 0, trunc, FLAVOR_TILDE)
-    y = NCSeries.monomial(
-        QQ, word_of([y_letter(0, 1, FLAVOR_TILDE)], 1, FLAVOR_TILDE), trunc
-    )
-    assert phi.letter_image(y_letter(0, 2, FLAVOR_TILDE)) == y
-    assert phi.letter_image(y_letter(1, 2, FLAVOR_TILDE)).is_zero()
+    y = NCSeries.monomial(QQ, parse_word("n=1,til:Y0"), trunc)
+    assert phi.letter_image(1) == y  # Y0
+    assert phi.letter_image(2).is_zero()  # Y1
 
 
 def test_galois_twist():
     ring = PolyRing(["chi"])
     trunc = 3
     delta = galois_twist_delta(ring, 1, 2, trunc, FLAVOR_STANDARD)
-    x1 = word_of([x_letter(1)], 1)
+    x1 = parse_word("n=1,std:X")
     assert delta.coefficient(x1) == (ring.sym("chi") - 1) * Fraction(1, 2)
     assert galois_twist_delta(ring, 1, 2, trunc, FLAVOR_TILDE).is_zero()
     with pytest.raises(UnknownSymbolError):

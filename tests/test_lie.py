@@ -23,16 +23,10 @@ from polydist.lie import (
 )
 from polydist.ncseries import NCSeries
 from polydist.scalars import QQ, PolyRing
-from polydist.words import (
-    FLAVOR_STANDARD,
-    parse_word,
-    word_of,
-    x_letter,
-    y_letter,
-)
+from polydist.words import FLAVOR_STANDARD, parse_word
 
-X = word_of([x_letter(1)], 1)
-Y = word_of([y_letter(0, 1)], 1)
+X = parse_word("n=1,std:X")
+Y = parse_word("n=1,std:Y0")
 
 
 def mono(w, trunc, c=1):
@@ -114,7 +108,7 @@ def test_ideal_reduction_jy():
     # XY dies, YX survives
     assert r.coefficient(X * Y) == 0
     assert r.coefficient(Y * X) == 1
-    lvl2 = NCSeries.monomial(QQ, word_of([y_letter(1, 2)], 2), 3)
+    lvl2 = NCSeries.monomial(QQ, parse_word("n=2,std:Y1"), 3)
     with pytest.raises(ValueError):
         reduce_mod_ideal(lvl2, MOD_JY)
 

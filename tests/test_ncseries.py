@@ -9,18 +9,15 @@ from polydist.ncseries import AlgebraMorphism, NCSeries, SeriesError
 from polydist.scalars import QQ, PolyRing
 from polydist.words import (
     FLAVOR_STANDARD,
-    alphabet,
     empty_word,
-    word_of,
+    parse_word,
     words_up_to_degree,
-    x_letter,
-    y_letter,
 )
 
 TRUNC = 5
 LEVEL = 1
-X = word_of([x_letter(1)], 1)
-Y = word_of([y_letter(0, 1)], 1)
+X = parse_word("n=1,std:X")
+Y = parse_word("n=1,std:Y0")
 ONE = empty_word(1)
 
 coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=6)
@@ -88,7 +85,7 @@ def test_truncation_degree_guard():
 
 def test_mixed_context_rejected():
     x1 = NCSeries.monomial(QQ, X, 3)
-    x2 = NCSeries.monomial(QQ, word_of([x_letter(2)], 2), 3)
+    x2 = NCSeries.monomial(QQ, parse_word("n=2,std:X"), 3)
     with pytest.raises(SeriesError):
         x1 + x2
     ring = PolyRing(["a"])
@@ -116,8 +113,8 @@ def test_homogeneous_component_and_min_degree():
 def _squaring_morphism(trunc):
     """x -> 2x, y -> y: the simplest level-preserving morphism."""
     images = {
-        x_letter(1): NCSeries.monomial(QQ, X, trunc, Fraction(2)),
-        y_letter(0, 1): NCSeries.monomial(QQ, Y, trunc),
+        0: NCSeries.monomial(QQ, X, trunc, Fraction(2)),
+        1: NCSeries.monomial(QQ, Y, trunc),
     }
     return AlgebraMorphism(1, FLAVOR_STANDARD, 1, FLAVOR_STANDARD, images, trunc)
 
@@ -148,7 +145,13 @@ def test_morphism_requires_complete_alphabet():
     with pytest.raises(SeriesError):
         AlgebraMorphism(
             1, FLAVOR_STANDARD, 1, FLAVOR_STANDARD,
-            {x_letter(1): NCSeries.monomial(QQ, X, 3)},
+            {0: NCSeries.monomial(QQ, X, 3)},
+            3,
+        )
+    with pytest.raises(SeriesError):  # letter 2 is Y1, not at level 1
+        AlgebraMorphism(
+            1, FLAVOR_STANDARD, 1, FLAVOR_STANDARD,
+            {a: NCSeries.monomial(QQ, X, 3) for a in range(3)},
             3,
         )
 
@@ -156,8 +159,8 @@ def test_morphism_requires_complete_alphabet():
 def test_morphism_rejects_images_over_a_poly_ring():
     ring = PolyRing(["a"])
     images = {
-        x_letter(1): NCSeries.monomial(ring, X, 3),
-        y_letter(0, 1): NCSeries.monomial(QQ, Y, 3),
+        0: NCSeries.monomial(ring, X, 3),
+        1: NCSeries.monomial(QQ, Y, 3),
     }
     with pytest.raises(SeriesError, match="not over QQ"):
         AlgebraMorphism(1, FLAVOR_STANDARD, 1, FLAVOR_STANDARD, images, 3)
@@ -220,7 +223,7 @@ def _apply_by_lifting(phi, series):
 )
 @settings(max_examples=40, deadline=None)
 def test_apply_matches_lifted_images(series, imgs, trunc):
-    images = dict(zip(alphabet(LEVEL, FLAVOR_STANDARD), imgs))
+    images = dict(zip(range(LEVEL + 1), imgs))
     phi = AlgebraMorphism(
         LEVEL, FLAVOR_STANDARD, LEVEL, FLAVOR_STANDARD, images, trunc
     )

@@ -17,7 +17,7 @@ from polydist.polylog_num import (
     verify_numeric_classical,
     verify_numeric_distribution,
 )
-from polydist.words import FLAVOR_TILDE, empty_word, parse_word, word_of, y_letter
+from polydist.words import empty_word, parse_word
 
 
 def test_depth1_word_is_minus_li1():
@@ -49,7 +49,7 @@ def test_word_validation_errors():
     with pytest.raises(DivergentWordError):
         mpl_series(MPLQuery(empty_word(1), 0.5))
     with pytest.raises(DivergentWordError):
-        w = word_of([y_letter(0, 1, FLAVOR_TILDE)], 1, FLAVOR_TILDE)
+        w = parse_word("n=1,til:Y0")
         mpl_series(MPLQuery(w, 0.5))
 
 

@@ -1,21 +1,22 @@
 """Words over the level-n alphabet: parsing, lifts, reduction."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from polydist.words import (
     FLAVOR_STANDARD,
     FLAVOR_TILDE,
+    FLAVORS,
+    Word,
     WordError,
     empty_word,
     enumerate_lifts,
     parse_word,
     reduce_mod_r,
-    word_of,
     words_up_to_degree,
     wt_x,
-    x_letter,
-    y_letter,
 )
 
 
@@ -27,10 +28,10 @@ def random_words(draw, max_level=4, max_len=6):
     letters = []
     for _ in range(n_letters):
         if draw(st.booleans()):
-            letters.append(x_letter(level, flavor))
+            letters.append(0)
         else:
-            letters.append(y_letter(draw(st.integers(0, level - 1)), level, flavor))
-    return word_of(letters, level, flavor)
+            letters.append(1 + draw(st.integers(0, level - 1)))
+    return Word(level, flavor, tuple(letters))
 
 
 @given(random_words())
@@ -40,7 +41,7 @@ def test_parse_render_roundtrip(w):
 
 
 def test_render_format():
-    w = word_of([y_letter(5, 6), x_letter(6), x_letter(6)], 6)
+    w = Word(6, FLAVOR_STANDARD, (6, 0, 0))
     assert str(w) == "n=6,std:Y5.X.X"
     assert str(empty_word(2, FLAVOR_TILDE)) == "n=2,til:"
 
@@ -52,11 +53,38 @@ def test_parse_rejects_garbage():
         parse_word("nonsense")
 
 
-def test_word_of_checks_letter_compatibility():
+def test_out_of_range_int_letter_raises():
+    # level 2 has the letters 0 (X), 1 (Y0) and 2 (Y1)
     with pytest.raises(WordError):
-        word_of([y_letter(0, 2)], 3)
+        Word(2, FLAVOR_STANDARD, (3,))
     with pytest.raises(WordError):
-        word_of([x_letter(2, FLAVOR_TILDE)], 2, FLAVOR_STANDARD)
+        Word(2, FLAVOR_TILDE, (0, -1))
+    with pytest.raises(WordError):
+        parse_word("n=2,std:Y-1")
+    with pytest.raises(WordError):
+        Word(2, "other", ())
+    with pytest.raises(WordError):
+        Word(0, FLAVOR_STANDARD, ())
+
+
+def _letter_dataclass_key(w):
+    """The graded sort key of the former ``Letter`` dataclass words, read
+    off the rendered tokens: (0, 0) for X and (1, i) for Y_i."""
+    body = str(w).partition(":")[2]
+    tokens = body.split(".") if body else []
+    return (
+        len(tokens),
+        tuple((0, 0) if t == "X" else (1, int(t[1:])) for t in tokens),
+    )
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("level, degree", [(1, 5), (2, 4), (3, 3), (11, 3)])
+def test_int_letter_order_matches_letter_dataclass_order(level, flavor, degree):
+    ws = words_up_to_degree(level, flavor, degree)
+    shuffled = random.Random(level).sample(ws, len(ws))
+    assert sorted(shuffled) == sorted(shuffled, key=_letter_dataclass_key) == ws
+    assert [parse_word(str(w)) for w in ws] == ws
 
 
 def test_wt_x_counts_x_letters():
@@ -91,6 +119,7 @@ def test_lift_count(w, n):
     y_count = len(w.letters) - wt_x(w)
     assert len(lifts) == n**y_count
     assert len(set(lifts)) == len(lifts)
+    assert lifts == sorted(lifts)
     for u in lifts:
         assert u.level == w.level * n
         assert wt_x(u) == wt_x(w)
@@ -104,15 +133,15 @@ def test_reduce_undoes_lift(w, n):
 
 
 def test_reduce_requires_divisible_level():
-    w = word_of([y_letter(3, 4)], 4)
-    assert reduce_mod_r(w, 2) == word_of([y_letter(1, 2)], 2)
+    w = parse_word("n=4,std:Y3")
+    assert reduce_mod_r(w, 2) == parse_word("n=2,std:Y1")
     with pytest.raises(WordError):
         reduce_mod_r(w, 3)
 
 
 def test_concatenation_and_ordering():
-    a = word_of([y_letter(0, 2)], 2)
-    b = word_of([x_letter(2)], 2)
+    a = parse_word("n=2,std:Y0")
+    b = parse_word("n=2,std:X")
     assert (a * b).letters == a.letters + b.letters
     assert empty_word(2) < b < a  # graded: X before Y at equal length
     assert b < a * b  # shorter first
