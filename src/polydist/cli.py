@@ -11,7 +11,8 @@ Usage examples:
     polydist numeric --all
 
 One JSON object per report is written to stdout (and to --out if given).
-Exit status is 0 iff every report passes; invalid usage exits 2.  The
+Exit status is 0 iff every report passes; invalid usage (including
+--word together with --all) exits 2.  The
 environment variable POLYDIST_MAX_DEGREE caps symbolic degrees.
 """
 
@@ -233,6 +234,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if not args.all and not args.selector:
         parser.error("need a selector or --all")
+    if args.all and args.word:
+        # the --all matrix mixes levels, so no one word fits all its tasks
+        parser.error("--word cannot be combined with --all; name a selector")
 
     if args.command == "verify":
         tasks = _verify_tasks(args)

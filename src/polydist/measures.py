@@ -119,14 +119,15 @@ def random_measure(ell, m, offset, rng, max_mass=None):
 
 
 def moment_exact(mu, k):
-    """Exact k-th moment: sum over a of (offset + a)^(k-1) * mass(a)."""
+    """Exact k-th moment: sum over a of (offset + a)^(k-1) * mass(a).
+
+    With offset = p/q this is sum v·(p + q·a)^(k-1) / q^(k-1): the sum runs
+    in integers and only the final division makes a Fraction."""
     if k < 1:
         raise MeasureError("moment depth k must be >= 1")
-    total = Fraction(0)
-    for a, v in enumerate(mu.values):
-        if v:
-            total += v * (mu.offset + a) ** (k - 1)
-    return total
+    p, q, e = mu.offset.numerator, mu.offset.denominator, k - 1
+    total = sum(v * (p + q * a) ** e for a, v in enumerate(mu.values) if v)
+    return Fraction(total, q**e)
 
 
 def pushforward_mul(mu, n):

@@ -13,15 +13,19 @@ Conventions, fixed across the package:
   -Li_k(z·zeta^(-i)); in particular Y_0.X^(k-1) at level 1 is -Li_k(z).
 
 Two independent evaluators are provided: ``mpl_series`` (Taylor recursion
-with a rigorous tail bound, |z| < 1) and ``iterint_quadrature`` (panel
-Gauss-Legendre collocation from a cut-off epsilon, Richardson-extrapolated
-to epsilon -> 0).  ``li_classical`` sums the classical series with proven
+with a tail bound whose premise is checked at run time, |z| < 1) and
+``iterint_quadrature`` (panel Gauss-Legendre collocation from a cut-off
+epsilon, Richardson-extrapolated to epsilon -> 0).  On fixed Gauss-Legendre
+nodes, cumulative integration of the interpolant is one fixed matrix, so
+the quadrature integrates all panels of a cut-off level with one matrix
+product per letter.  ``li_classical`` sums the classical series with proven
 truncation bounds and is the oracle for calibration.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -56,6 +60,11 @@ class MPLQuery:
         self.z = complex(self.z)
 
 
+def _root_of_unity(n):
+    """zeta = exp(2*pi*i/n), the generator of the level-n punctures."""
+    return cmath.exp(2j * cmath.pi / n)
+
+
 def _validate_word(word):
     if word.flavor != FLAVOR_STANDARD:
         raise DivergentWordError(
@@ -76,7 +85,8 @@ def mpl_series(query):
     partial integral as a function of the upper endpoint: an X letter
     divides coefficient m by m; a Y_i letter maps the array through a
     prefix-sum twisted by zeta^i.  All coefficients stay bounded by 1 in
-    modulus, giving the tail bound |z|^(M+1)/(1-|z|).
+    modulus, giving the tail bound |z|^(M+1)/(1-|z|).  That premise is
+    checked after every letter; ConvergenceError is raised if it fails.
     """
     _validate_word(query.word)
     z = complex(query.z)
@@ -93,7 +103,7 @@ def mpl_series(query):
             f"would need {terms} terms (> max_terms={query.max_terms})"
         )
     n = query.word.level
-    zeta = cmath.exp(2j * cmath.pi / n)
+    zeta = _root_of_unity(n)
 
     letters = query.word.letters
     # innermost letter: Y_i gives alpha_m = -xi^(-m)/m
@@ -104,6 +114,7 @@ def mpl_series(query):
     ms = np.arange(terms + 1, dtype=float)
     ms[0] = 1.0
     alpha[1:] = -powers[1:] / ms[1:]
+    _check_tail_premise(alpha, query.word)
     for letter in letters[1:]:
         if letter == 0:
             alpha[1:] = alpha[1:] / ms[1:]
@@ -114,8 +125,20 @@ def mpl_series(query):
             new = np.zeros_like(alpha)
             new[1:] = -prefix[:-1] / (ms[1:] * xi_pow[1:])
             alpha = new
+        _check_tail_premise(alpha, query.word)
     zpow = np.power(z, np.arange(terms + 1))
     return complex(np.sum(alpha * zpow))
+
+
+def _check_tail_premise(alpha, word):
+    # The computed roots of unity have modulus 1 only up to a few ulps, and
+    # alpha_1 of Y_i.X...X sits on the bound, so rounding is allowed for.
+    bound = float(np.abs(alpha).max())
+    if bound > 1 + 1e-12:
+        raise ConvergenceError(
+            f"Taylor coefficient of modulus {bound:.3g} > 1 for {word}: "
+            "the series tail bound does not hold"
+        )
 
 
 def li_classical(k, z, tol=1e-12, max_terms=8_000_000):
@@ -187,35 +210,48 @@ def _panel_bounds(eps):
     return bounds
 
 
+@functools.cache
+def _spectral_rule(nodes):
+    """Gauss-Legendre nodes x and weights w on [-1, 1], and the spectral
+    integration matrix S: (S @ g)[i] is the integral from -1 to x[i] of the
+    degree nodes-1 interpolant of the node values g.  S maps node values to
+    Legendre coefficients, integrates those (legint) and evaluates the
+    antiderivative back at the nodes (Greengard 1991).  The Gauss rule is
+    exact on P_j·P_k here, so coefficient j of the interpolant is
+    (j + 1/2)·sum_i w_i P_j(x_i) g_i and no Vandermonde matrix is inverted."""
+    x, w = npleg.leggauss(nodes)
+    vander = npleg.legvander(x, nodes - 1)
+    to_coeffs = (np.arange(nodes) + 0.5)[:, None] * (vander * w[:, None]).T
+    S = npleg.legvander(x, nodes) @ npleg.legint(to_coeffs, lbnd=-1.0)
+    for array in (x, S, w):
+        array.setflags(write=False)  # shared by every caller of the cache
+    return x, S, w
+
+
 def _integral_from(eps, word, z, zeta, nodes):
     """Iterated integral along t -> t·z for t in [eps, 1], collocation on
-    Gauss-Legendre panels with spectral cumulative integration."""
-    glx, _ = npleg.leggauss(nodes)
-    bounds = _panel_bounds(eps)
-    panels = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        t = a + (b - a) * (glx + 1.0) / 2.0
-        panels.append((a, b, t))
+    Gauss-Legendre panels with spectral cumulative integration.
 
-    level_vals = [np.ones(nodes, dtype=complex) for _ in panels]
+    The panels of the level form one (panels, nodes) array t.  Each letter
+    multiplies the running values by its form, integrates every panel at
+    once with the spectral matrix, and adds each panel's start: the
+    exclusive cumulative sum of the Gauss panel totals."""
+    x, S, w = _spectral_rule(nodes)
+    bounds = np.array(_panel_bounds(eps))
+    scale = (bounds[1:] - bounds[:-1]) / 2.0
+    t = bounds[:-1, None] + scale[:, None] * (x + 1.0)
+
+    vals = np.ones(t.shape, dtype=complex)
     for letter in word.letters:
         if letter == 0:
-            forms = [1.0 / t for (_, _, t) in panels]
+            f = 1.0 / t
         else:
-            pole = zeta ** (letter - 1)
-            forms = [z / (t * z - pole) for (_, _, t) in panels]
-        start = 0j
-        new_vals = []
-        for (a, b, t), prev, f in zip(panels, level_vals, forms):
-            g = prev * f
-            coeffs = npleg.legfit(2.0 * (t - a) / (b - a) - 1.0, g, nodes - 1)
-            anti = npleg.legint(coeffs, lbnd=-1.0)
-            scale = (b - a) / 2.0
-            cumulative = scale * npleg.legval(2.0 * (t - a) / (b - a) - 1.0, anti)
-            new_vals.append(start + cumulative)
-            start = start + scale * npleg.legval(1.0, anti)
-        level_vals = new_vals
-    return start
+            f = z / (t * z - zeta ** (letter - 1))
+        g = vals * f
+        totals = scale * (g @ w)
+        ends = np.cumsum(totals)
+        vals = (ends - totals)[:, None] + scale[:, None] * (g @ S.T)
+    return complex(ends[-1])
 
 
 def iterint_quadrature(query, options=None):
@@ -239,7 +275,7 @@ def iterint_quadrature(query, options=None):
     if abs(z) >= 1:
         raise PathError("quadrature path needs |z| < 1")
     n = query.word.level
-    zeta = cmath.exp(2j * cmath.pi / n)
+    zeta = _root_of_unity(n)
     # distance of the segment [0, z] to each puncture zeta^i
     for i in range(n):
         pole = zeta**i

@@ -123,6 +123,17 @@ def test_word_at_wrong_level_exits_2():
     assert "not at level r = 1" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["numeric", "verify"])
+def test_word_with_all_exits_2(command):
+    # the --all matrix mixes r = 1 and r = 2, so one word cannot serve it
+    proc = run_cli(command, "--all", "--word", "n=1,std:Y0.X")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    message = proc.stderr.strip().splitlines()[-1]  # below the usage lines
+    assert "--all" in message and "--word" in message
+
+
 @pytest.mark.slow
 def test_verify_all_matrix():
     proc = run_cli("verify", "--all", "--jobs", "4")

@@ -47,6 +47,36 @@ def test_moment_exact_by_hand():
     assert moment_exact(mu, 3) == Fraction(1, 4) + 4 * Fraction(25, 4)
 
 
+def _moment_exact_oracle(mu, k):
+    """The moment as a sum of Fraction powers, one per grid point."""
+    total = Fraction(0)
+    for a, v in enumerate(mu.values):
+        if v:
+            total += v * (mu.offset + a) ** (k - 1)
+    return total
+
+
+@st.composite
+def small_measures(draw):
+    ell = draw(st.sampled_from([2, 3, 5]))
+    m = draw(st.integers(0, 3))
+    offset = Fraction(draw(st.integers(-40, 40)), draw(st.integers(1, 12)))
+    values = draw(
+        st.lists(st.integers(-30, 30), min_size=ell**m, max_size=ell**m)
+    )
+    return FiniteMeasure(ell, m, offset, tuple(values))
+
+
+@given(small_measures(), st.integers(1, 8))
+@settings(max_examples=120, deadline=None)
+def test_moment_exact_matches_fraction_oracle(mu, k):
+    got = moment_exact(mu, k)
+    assert isinstance(got, Fraction)
+    assert got == _moment_exact_oracle(mu, k)
+    with pytest.raises(MeasureError):
+        moment_exact(mu, 0)
+
+
 def test_pushforward_by_hand():
     mu = FiniteMeasure(3, 2, Fraction(0), tuple(range(9)))
     nu = pushforward_mul(mu, 3)

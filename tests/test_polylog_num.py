@@ -1,9 +1,15 @@
 """Floating-point evaluators: series, classical sums, quadrature."""
 
+import cmath
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from numpy.polynomial import legendre as npleg
 
+from polydist import polylog_num
 from polydist.polylog_num import (
     ConvergenceError,
     DivergentWordError,
@@ -15,9 +21,65 @@ from polydist.polylog_num import (
     mpl_series,
     verify_numeric_calibration,
     verify_numeric_classical,
+    verify_numeric_cross_oracle,
     verify_numeric_distribution,
 )
-from polydist.words import empty_word, parse_word
+from polydist.words import FLAVOR_STANDARD, Word, empty_word, parse_word
+
+
+# Reference route for the spectral matrix: one Legendre refit per panel.
+def _integral_from_oracle(eps, word, z, zeta, nodes):
+    """Iterated integral along t -> t·z for t in [eps, 1], collocation on
+    Gauss-Legendre panels with spectral cumulative integration."""
+    glx, _ = npleg.leggauss(nodes)
+    bounds = polylog_num._panel_bounds(eps)
+    panels = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        t = a + (b - a) * (glx + 1.0) / 2.0
+        panels.append((a, b, t))
+
+    level_vals = [np.ones(nodes, dtype=complex) for _ in panels]
+    for letter in word.letters:
+        if letter == 0:
+            forms = [1.0 / t for (_, _, t) in panels]
+        else:
+            pole = zeta ** (letter - 1)
+            forms = [z / (t * z - pole) for (_, _, t) in panels]
+        start = 0j
+        new_vals = []
+        for (a, b, t), prev, f in zip(panels, level_vals, forms):
+            g = prev * f
+            coeffs = npleg.legfit(2.0 * (t - a) / (b - a) - 1.0, g, nodes - 1)
+            anti = npleg.legint(coeffs, lbnd=-1.0)
+            scale = (b - a) / 2.0
+            cumulative = scale * npleg.legval(2.0 * (t - a) / (b - a) - 1.0, anti)
+            new_vals.append(start + cumulative)
+            start = start + scale * npleg.legval(1.0, anti)
+        level_vals = new_vals
+    return start
+
+
+@st.composite
+def standard_words(draw, max_degree=6, max_depth=4):
+    """Convergent standard words at levels 1-3: a Y first, at most
+    ``max_depth`` Y letters in all."""
+    level = draw(st.integers(1, 3))
+    degree = draw(st.integers(1, max_degree))
+    letters = [draw(st.integers(1, level))]
+    for _ in range(degree - 1):
+        if sum(1 for a in letters if a) < max_depth:
+            letters.append(draw(st.integers(0, level)))
+        else:
+            letters.append(0)
+    return Word(level, FLAVOR_STANDARD, tuple(letters))
+
+
+def disc_points(r_min, r_max):
+    return st.builds(
+        lambda r, theta: r * cmath.exp(1j * theta),
+        st.floats(r_min, r_max),
+        st.floats(0.0, 2 * math.pi),
+    )
 
 
 def test_depth1_word_is_minus_li1():
@@ -132,3 +194,58 @@ def test_classical_constants_engine():
     rep = verify_numeric_classical()
     assert rep.ok
     assert abs(li_classical(2, -1.0, tol=1e-13) + math.pi**2 / 12) < 1e-12
+
+
+def test_spectral_rule_matches_legendre_refit():
+    x, S, w = polylog_num._spectral_rule(14)
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal(14) + 1j * rng.standard_normal(14)
+    anti = npleg.legint(npleg.legfit(x, g, 13), lbnd=-1.0)
+    assert np.allclose(S @ g, npleg.legval(x, anti), rtol=0, atol=1e-13)
+    assert abs(w @ g - npleg.legval(1.0, anti)) < 1e-13
+    assert polylog_num._spectral_rule(14) is polylog_num._spectral_rule(14)
+
+
+@given(standard_words(), disc_points(0.05, 0.6))
+@settings(max_examples=20, deadline=None)
+def test_spectral_panels_match_refit_oracle(word, z):
+    """Every epsilon level the quadrature asks for agrees with the per-panel
+    refit, and so does the extrapolated value with the refit swapped in."""
+    spectral = polylog_num._integral_from
+
+    def checked_oracle(eps, word, z, zeta, nodes):
+        want = _integral_from_oracle(eps, word, z, zeta, nodes)
+        assert abs(spectral(eps, word, z, zeta, nodes) - want) <= 1e-12
+        return want
+
+    query = MPLQuery(word, z)
+    fast = iterint_quadrature(query)
+    with mock.patch.object(polylog_num, "_integral_from", checked_oracle):
+        slow = iterint_quadrature(query)
+    assert abs(fast - slow) <= 1e-12
+
+
+@given(standard_words(max_degree=8, max_depth=8), disc_points(0.0, 0.95))
+@settings(max_examples=80, deadline=None)
+def test_series_tail_premise_holds_for_ordinary_words(word, z):
+    mpl_series(MPLQuery(word, z))
+
+
+def test_series_refuses_when_tail_premise_breaks(monkeypatch):
+    # a "root of unity" of modulus 1/2 makes |alpha_m| = 2^m/m for Y1
+    word = parse_word("n=2,std:Y1")
+    assert abs(mpl_series(MPLQuery(word, 0.3)) - math.log(1.3)) < 1e-12
+    monkeypatch.setattr(
+        polylog_num, "_root_of_unity", lambda n: 0.5 * cmath.exp(2j * cmath.pi / n)
+    )
+    with pytest.raises(ConvergenceError, match="tail bound"):
+        mpl_series(MPLQuery(word, 0.3))
+
+
+@pytest.mark.parametrize("seed", [0, 20171109])
+def test_cross_oracle_depth4_reach(seed):
+    rep = verify_numeric_cross_oracle(
+        trials=200, seed=seed, max_depth=4, max_degree=6
+    )
+    assert rep.ok, rep.failures()
+    assert rep.params["tol"] == 1e-8
