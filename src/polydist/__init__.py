@@ -37,7 +37,6 @@ from .lie import (
     GenSeries,
     NotPolylogError,
     PolylogPart,
-    ad_pow,
     bch,
     bernoulli_number,
     bernoulli_poly,
@@ -122,7 +121,6 @@ __all__ = [
     "VerificationReport",
     "Word",
     "WordError",
-    "ad_pow",
     "bch",
     "bernoulli_congruence_check",
     "bernoulli_number",

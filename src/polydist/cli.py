@@ -59,23 +59,24 @@ def _verify_tasks(args):
     sel = "all" if args.all else args.selector
 
     if sel in ("formal-distribution", "all"):
-        flavors_levels = (
-            [(args.r, args.n, args.flavor)]
+        combos = (
+            [(args.r, args.n, args.flavor, 6 if args.flavor == "til" else 5)]
             if sel != "all"
             else [
-                (1, 2, "til"),
-                (1, 3, "til"),
-                (2, 2, "til"),
-                (1, 4, "til"),
-                (1, 2, "std"),
-                (1, 3, "std"),
+                (1, 2, "til", 6),
+                (1, 3, "til", 6),
+                (2, 2, "til", 6),
+                (1, 4, "til", 6),
+                (1, 2, "std", 5),
+                (1, 3, "std", 5),
+                (1, 4, "til", 7),
+                (1, 3, "std", 6),
             ]
         )
-        for r, n, flavor in flavors_levels:
-            d = degree if degree else (6 if flavor == "til" else 5)
-            tasks.append(
-                ("formal", dict(r=r, n=n, degree=d, flavor=flavor))
-            )
+        for r, n, flavor, d in combos:
+            task = ("formal", dict(r=r, n=n, degree=degree or d, flavor=flavor))
+            if task not in tasks:  # --degree maps two entries to one task
+                tasks.append(task)
     if sel in ("bch-closed-form", "all"):
         tasks.append(("bch", dict(degree=degree or 6, candidate=args.candidate)))
     if sel in ("conversions", "all"):

@@ -49,6 +49,7 @@ from .words import (
     Word,
     empty_word,
     reduce_mod_r,
+    words_depth_first,
     words_up_to_degree,
     wt_x,
 )
@@ -162,11 +163,12 @@ def verify_formal_distribution(r=1, n=2, degree=6, flavor=FLAVOR_TILDE):
         # target word -> length of the longest source word whose image has a
         # wrong coefficient there
         wrong = {}
-        for u in words_up_to_degree(rn, flavor, degree, min_degree=1):
-            image = push.word_image(u).coeffs
+        source_words = words_depth_first(rn, flavor, degree, min_degree=1)
+        for u, image in push.word_images(source_words):
+            coeffs = image.coeffs
             lifted, scale = reduce_mod_r(u, r), n ** wt_x(u)
-            for w in image.keys() | {lifted}:
-                if image.get(w, 0) != (scale if w == lifted else 0):
+            for w in coeffs.keys() | {lifted}:
+                if coeffs.get(w, 0) != (scale if w == lifted else 0):
                     wrong[w] = max(wrong.get(w, 0), u.degree())
 
         target_words = words_up_to_degree(r, flavor, degree, min_degree=1)

@@ -2,16 +2,15 @@
 
 Contents:
 
-- the iterated-bracket elements ad(X)^(m-1)(Y_s) expanded in the word basis;
 - reduction modulo the monomial ideals used throughout: ``IY`` (words with
   at least two puncture letters — at any level) and ``JY`` (level-1 words
   containing XY or YY, whose survivors are X^i and Y.X^i);
 - exp/log/BCH computed from their definitions, optionally inside one of
   those quotients (reduce after every product — the ideals are monomial
   two-sided ideals, so this is exact quotient arithmetic);
-- ``PolylogPart``: the coordinates (x-coefficient, per-branch depth
-  coefficients) of a Lie-like element modulo IY, with an exact residual
-  check on extraction;
+- ``PolylogPart``: the coordinates (x-coefficient, per-branch coefficients
+  of the iterated brackets ad(X)^(m-1)(Y_s)) of a Lie-like element modulo
+  IY, with an exact residual check on extraction;
 - one-variable truncated generating series (``GenSeries``) and the
   Bernoulli machinery: beta(t) = t/(e^t - 1), Bernoulli numbers and
   polynomials.
@@ -120,25 +119,8 @@ def bch(s, t, which=None):
 
 
 # ---------------------------------------------------------------------------
-# iterated brackets and polylog coordinates
+# polylog coordinates
 # ---------------------------------------------------------------------------
-
-
-def ad_pow(ring, m, trunc, level=1, flavor="std", y_index=0):
-    """ad(X)^(m-1) applied to Y_{y_index}, expanded in the word basis.
-
-    Equals sum_j (-1)^j C(m-1, j) X^(m-1-j) . Y . X^j, a degree-m element.
-    """
-    if m < 1:
-        raise ValueError("bracket depth m must be >= 1")
-    if m > trunc:
-        raise SeriesError(f"degree {m} exceeds truncation {trunc}")
-    coeffs = {}
-    for j in range(m):
-        w = Word(level, flavor, (0,) * (m - 1 - j) + (1 + y_index,) + (0,) * j)
-        c = ring.from_int((-1) ** j * comb(m - 1, j))
-        coeffs[w] = c
-    return NCSeries(ring, level, flavor, trunc, coeffs)
 
 
 class PolylogPart:

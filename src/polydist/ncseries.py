@@ -7,10 +7,11 @@ arithmetic is exact in the quotient by words of degree > trunc).
 ``AlgebraMorphism`` is a ring map determined by letter images with zero
 constant term (so it preserves the augmentation and interacts correctly with
 exp/log).  The letter images have rational coefficients, so one morphism
-applies to series over any coefficient ring: ``word_image`` multiplies the
-images of one word's letters in ``QQ``, with early truncation, and
-``apply`` is the linear combination of word images, summing each target
-coefficient once with the series ring's ``lincomb``.
+applies to series over any coefficient ring: ``word_images`` yields the
+images of source words over ``QQ``, each one product of a shared prefix
+image and a letter image, and ``apply`` is the linear combination of word
+images, summing each target coefficient once with the series ring's
+``lincomb``.
 """
 
 from __future__ import annotations
@@ -264,25 +265,44 @@ class AlgebraMorphism:
         except KeyError:
             raise SeriesError(f"letter {letter} is not in the source alphabet")
 
-    def word_image(self, word):
-        """The image of one source word over ``QQ``: the product of its
-        letter images, truncated at the map's degree."""
-        img = NCSeries.one(QQ, self.target_level, self.target_flavor, self.trunc)
-        for letter in word.letters:
-            img = img * self.images[letter]
-            if img.is_zero():
-                break
-        return img
+    def word_images(self, words):
+        """Yield ``(word, image)`` for each source word, in the given order.
+
+        The image of a word is the product of its letter images over ``QQ``,
+        truncated at the map's degree.  A stack holds the images of the
+        prefixes of the last word, so a word sharing a prefix with it costs
+        one product per letter past that prefix.  Given in plain letter-tuple
+        order, which visits the word trie depth first, every trie node costs
+        exactly one ``NCSeries`` product and the stack never holds more than
+        one image per degree.
+        """
+        # stack[i] is the image of prev[:i]
+        prev = ()
+        stack = [NCSeries.one(QQ, self.target_level, self.target_flavor, self.trunc)]
+        for word in words:
+            letters = word.letters
+            k = 0
+            for a, b in zip(prev, letters):
+                if a != b:
+                    break
+                k += 1
+            del stack[k + 1 :]
+            for letter in letters[k:]:
+                stack.append(stack[-1] * self.images[letter])
+            prev = letters
+            yield word, stack[-1]
 
     def apply(self, series):
         """The image of ``series``, over the series' own ring."""
         if series.level != self.source_level or series.flavor != self.source_flavor:
             raise SeriesError("series does not live in the source algebra")
         trunc = min(self.trunc, series.trunc)
+        coeffs = series.coeffs
         # (coefficient, rational) pairs per target word: one lincomb each
         pairs = {}
-        for w, c in series.coeffs.items():
-            for w2, q in self.word_image(w).coeffs.items():
+        for w, image in self.word_images(sorted(coeffs, key=lambda u: u.letters)):
+            c = coeffs[w]
+            for w2, q in image.coeffs.items():
                 pairs.setdefault(w2, []).append((c, q))
         ring = series.ring
         return NCSeries(

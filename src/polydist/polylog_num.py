@@ -274,6 +274,8 @@ def iterint_quadrature(query, options=None):
     z = complex(query.z)
     if abs(z) >= 1:
         raise PathError("quadrature path needs |z| < 1")
+    if z == 0:
+        return 0j  # the path [0, 0] is empty
     n = query.word.level
     zeta = _root_of_unity(n)
     # distance of the segment [0, z] to each puncture zeta^i

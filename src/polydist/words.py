@@ -126,6 +126,19 @@ def words_up_to_degree(level, flavor, max_degree, min_degree=0):
     return out
 
 
+def words_depth_first(level, flavor, max_degree, min_degree=0):
+    """All words of degree in [min_degree, max_degree] in plain letter-tuple
+    order, each word just before its extensions: a depth-first walk of the
+    word trie.  Yields one word at a time, so no degree layer is held."""
+    pending = [()]
+    while pending:
+        letters = pending.pop()
+        if len(letters) >= min_degree:
+            yield Word(level, flavor, letters)
+        if len(letters) < max_degree:  # children pushed last letter first
+            pending.extend(letters + (a,) for a in range(level, -1, -1))
+
+
 def reduce_mod_r(w, r):
     """Project a word from level n·r down to level r.
 

@@ -31,6 +31,8 @@ def scrubbed(reports):
 
 # ``verify --all`` reports without ``ms``, recorded before the formal engine
 # moved to the word-by-word route; every later change must reproduce them.
+# The formal (1,4,til,7) and (1,3,std,6) reports, lines 7 and 8, were added
+# with the prefix-shared word images.
 GOLDEN_VERIFY_ALL = [
     json.loads(line)
     for line in (Path(__file__).parent / "data" / "verify_all.jsonl")
@@ -171,3 +173,27 @@ def test_trials_reach_each_engine_with_its_own_default():
     assert everything.count(("pushforward", 100)) == 4
     assert everything.count(("cross-oracle", 20)) == 1
     assert len(everything) == 5
+
+
+def test_formal_matrix_entries_keep_their_own_degree():
+    from polydist import cli
+
+    parser = cli.build_parser()
+
+    def formal(*argv):
+        tasks = cli._verify_tasks(parser.parse_args(["verify", *argv]))
+        return [(kw["r"], kw["n"], kw["flavor"], kw["degree"])
+                for name, kw in tasks if name == "formal"]
+
+    assert formal("--all") == [
+        (1, 2, "til", 6), (1, 3, "til", 6), (2, 2, "til", 6), (1, 4, "til", 6),
+        (1, 2, "std", 5), (1, 3, "std", 5), (1, 4, "til", 7), (1, 3, "std", 6),
+    ]
+    # one --degree for the whole matrix runs each (r, n, flavor) once
+    assert formal("--all", "--degree", "4") == [
+        (1, 2, "til", 4), (1, 3, "til", 4), (2, 2, "til", 4), (1, 4, "til", 4),
+        (1, 2, "std", 4), (1, 3, "std", 4),
+    ]
+    assert formal("formal-distribution", "--flavor", "std", "--n", "3") == [
+        (1, 3, "std", 5)
+    ]

@@ -91,6 +91,22 @@ def test_formal_distribution_tilde_small():
     assert "all-residuals-zero" in names
 
 
+def test_formal_engine_makes_one_series_product_per_source_word(monkeypatch):
+    calls = []
+    mul = NCSeries.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(NCSeries, "__mul__", counted)
+    for r, n, degree, flavor in [(1, 2, 5, "til"), (1, 3, 4, "std"), (2, 2, 3, "til")]:
+        calls.clear()
+        assert verify_formal_distribution(r, n, degree, flavor).ok
+        source_words = sum((r * n + 1) ** d for d in range(1, degree + 1))
+        assert len(calls) == source_words, (r, n, degree, flavor)
+
+
 def test_formal_distribution_standard_residual_frozen():
     """Doubling at level 1: the Y0.X residual is exactly -c[Y1].
 

@@ -1,6 +1,7 @@
 """Free-Lie/BCH calculus, quotient ideals, Bernoulli machinery."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,6 @@ from polydist.lie import (
     MOD_JY,
     GenSeries,
     NotPolylogError,
-    ad_pow,
     bch,
     bernoulli_number,
     bernoulli_poly,
@@ -23,7 +23,7 @@ from polydist.lie import (
 )
 from polydist.ncseries import NCSeries
 from polydist.scalars import QQ, PolyRing
-from polydist.words import FLAVOR_STANDARD, parse_word
+from polydist.words import FLAVOR_STANDARD, Word, parse_word
 
 X = parse_word("n=1,std:X")
 Y = parse_word("n=1,std:Y0")
@@ -31,6 +31,16 @@ Y = parse_word("n=1,std:Y0")
 
 def mono(w, trunc, c=1):
     return NCSeries.monomial(QQ, w, trunc, Fraction(c))
+
+
+def ad_pow(ring, m, trunc):
+    """ad(X)^(m-1)(Y) at level 1: sum_j (-1)^j C(m-1, j) X^(m-1-j).Y.X^j."""
+    coeffs = {
+        Word(1, FLAVOR_STANDARD, (0,) * (m - 1 - j) + (1,) + (0,) * j):
+        ring.from_int((-1) ** j * comb(m - 1, j))
+        for j in range(m)
+    }
+    return NCSeries(ring, 1, FLAVOR_STANDARD, trunc, coeffs)
 
 
 def test_bch_degree_two():

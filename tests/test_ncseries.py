@@ -5,10 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polydist.geometry import j_zeta_morphism, pi_morphism
 from polydist.ncseries import AlgebraMorphism, NCSeries, SeriesError
 from polydist.scalars import QQ, PolyRing
 from polydist.words import (
     FLAVOR_STANDARD,
+    FLAVORS,
+    Word,
     empty_word,
     parse_word,
     words_up_to_degree,
@@ -230,3 +233,70 @@ def test_apply_matches_lifted_images(series, imgs, trunc):
     got = phi.apply(series)
     assert got.ring is POLY
     assert got == _apply_by_lifting(phi, series)
+
+
+def _word_image_oracle(phi, word):
+    """The per-word route ``word_images`` replaced, kept as the oracle: the
+    product of the word's letter images, taken one by one from the start."""
+    img = NCSeries.one(QQ, phi.target_level, phi.target_flavor, phi.trunc)
+    for letter in word.letters:
+        img = img * phi.images[letter]
+        if img.is_zero():
+            break
+    return img
+
+
+@st.composite
+def morphism_and_words(draw):
+    """A covering or specialization morphism and a list of its source words
+    in letter-tuple order, with shared prefixes, repeats, words longer than
+    the truncation and possibly the empty word.  ``j_zeta_morphism`` kills
+    all but one puncture letter, so many prefix images there are zero."""
+    flavor = draw(st.sampled_from(FLAVORS))
+    trunc = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        r, n = draw(st.sampled_from([(1, 2), (1, 3), (2, 2)]))
+        phi = pi_morphism(r, n, trunc, flavor)
+    else:
+        n = draw(st.integers(2, 3))
+        phi = j_zeta_morphism(n, draw(st.integers(0, n - 1)), trunc, flavor)
+    letters = st.integers(0, phi.source_level)
+    base = draw(st.lists(st.lists(letters, max_size=trunc + 1), max_size=6))
+    words = []
+    for w in base:
+        words.append(tuple(w))
+        words.append(tuple(w[: draw(st.integers(0, len(w)))]))  # a prefix
+    words += draw(st.lists(st.sampled_from(words), max_size=3)) if words else []
+    if draw(st.booleans()):
+        words.append(())
+    words.sort()
+    return phi, [Word(phi.source_level, flavor, w) for w in words]
+
+
+@given(morphism_and_words())
+@settings(max_examples=80, deadline=None)
+def test_word_images_match_per_word_oracle(case):
+    phi, words = case
+    got = list(phi.word_images(words))
+    assert [w for w, _ in got] == words
+    for w, image in got:
+        assert image == _word_image_oracle(phi, w), w
+
+
+def test_word_images_make_one_product_per_trie_node(monkeypatch):
+    phi = pi_morphism(1, 2, 3, FLAVOR_STANDARD)
+    calls = []
+    mul = NCSeries.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(NCSeries, "__mul__", counted)
+    # trie nodes below the root: Y0, Y0.X, Y0.X.Y1, Y1, Y1.Y1 -- the empty
+    # word is the root, and a repeat or a listed prefix costs nothing more
+    texts = ["", "Y0.X", "Y0.X", "Y0.X.Y1", "Y1", "Y1.Y1"]
+    words = [parse_word("n=2,std:" + t) for t in texts]
+    got = [w for w, _ in phi.word_images(words)]
+    assert got == words
+    assert len(calls) == 5

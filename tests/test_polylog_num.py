@@ -160,6 +160,15 @@ def test_quadrature_agrees_with_series():
         assert abs(mpl_series(q) - iterint_quadrature(q)) < 1e-9
 
 
+def test_evaluators_agree_at_origin():
+    for text in ["n=1,std:Y0.X", "n=2,std:Y1", "n=3,std:Y2.X.Y0", "n=1,std:Y0.Y0.X"]:
+        q = MPLQuery(parse_word(text), 0)
+        assert iterint_quadrature(q) == mpl_series(q) == 0
+    # word validation still comes first
+    with pytest.raises(DivergentWordError):
+        iterint_quadrature(MPLQuery(parse_word("n=1,std:X.Y0"), 0))
+
+
 def test_quadrature_rejects_close_puncture():
     w = parse_word("n=1,std:Y0.X")
     with pytest.raises(PathError):

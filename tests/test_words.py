@@ -15,6 +15,7 @@ from polydist.words import (
     enumerate_lifts,
     parse_word,
     reduce_mod_r,
+    words_depth_first,
     words_up_to_degree,
     wt_x,
 )
@@ -110,6 +111,16 @@ def test_words_up_to_degree_is_sorted_and_unique():
     assert len(set(ws)) == len(ws)
     ws19 = words_up_to_degree(2, FLAVOR_STANDARD, 4, min_degree=2)
     assert all(2 <= len(w.letters) <= 4 for w in ws19)
+
+
+@pytest.mark.parametrize("level, max_degree, min_degree", [
+    (1, 4, 0), (2, 3, 1), (3, 4, 2), (4, 2, 2), (2, 1, 3),
+])
+def test_words_depth_first_is_letter_tuple_order(level, max_degree, min_degree):
+    for flavor in FLAVORS:
+        got = list(words_depth_first(level, flavor, max_degree, min_degree))
+        want = words_up_to_degree(level, flavor, max_degree, min_degree)
+        assert got == sorted(want, key=lambda w: w.letters)
 
 
 @given(random_words(max_level=3, max_len=5), st.integers(2, 3))
