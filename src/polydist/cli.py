@@ -58,6 +58,12 @@ def _verify_tasks(args):
     tasks = []
     sel = "all" if args.all else args.selector
 
+    def add(name, **kwargs):
+        task = (name, kwargs)
+        if task not in tasks:  # --degree/--depth can map two entries to one task
+            tasks.append(task)
+
+    # each matrix entry carries its own degree or depth
     if sel in ("formal-distribution", "all"):
         combos = (
             [(args.r, args.n, args.flavor, 6 if args.flavor == "til" else 5)]
@@ -74,23 +80,19 @@ def _verify_tasks(args):
             ]
         )
         for r, n, flavor, d in combos:
-            task = ("formal", dict(r=r, n=n, degree=degree or d, flavor=flavor))
-            if task not in tasks:  # --degree maps two entries to one task
-                tasks.append(task)
+            add("formal", r=r, n=n, degree=degree or d, flavor=flavor)
     if sel in ("bch-closed-form", "all"):
-        tasks.append(("bch", dict(degree=degree or 6, candidate=args.candidate)))
+        for d in [6] if sel != "all" else [6, 8]:
+            add("bch", degree=degree or d, candidate=args.candidate)
     if sel in ("conversions", "all"):
-        tasks.append(("conversions", dict(depth=depth or 8)))
-    if sel in ("inhomogeneous", "all"):
-        ns = [args.n] if sel != "all" else [2, 3]
-        for n in ns:
-            tasks.append(("inhomogeneous", dict(n=n, depth=depth or 6)))
-    if sel in ("homogeneous", "all"):
-        ns = [args.n] if sel != "all" else [2, 3]
-        for n in ns:
-            tasks.append(("homogeneous", dict(n=n, depth=depth or 6)))
+        add("conversions", depth=depth or 8)
+    for family in ("inhomogeneous", "homogeneous"):
+        if sel in (family, "all"):
+            combos = [(args.n, 6)] if sel != "all" else [(2, 6), (3, 6), (2, 8), (3, 8)]
+            for n, d in combos:
+                add(family, n=n, depth=depth or d)
     if sel in ("eisenstein-specialization", "all"):
-        tasks.append(("eisenstein", dict(k_max=args.k_max)))
+        add("eisenstein", k_max=args.k_max)
     if sel == "all":
         tasks.extend(_measure_tasks(args, "all"))
         tasks.extend(_numeric_tasks(args, "all"))

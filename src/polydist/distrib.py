@@ -32,10 +32,12 @@ from .geometry import galois_twist_delta, j_zeta_morphism, pi_morphism
 from .lie import (
     GenSeries,
     MOD_IY,
+    MOD_JY,
     PolylogPart,
     bch,
     bernoulli_number,
     beta_series,
+    exp_mod,
     log_mod,
     polylog_part,
     reduce_mod_ideal,
@@ -120,14 +122,15 @@ def li_from_chi(rho, chi_values, m):
 
 
 def group_like_from_chi(ring, rho, chi_values, trunc, flavor=FLAVOR_STANDARD):
-    """The group-like series exp(-(rho·X + sum_m li_m ad(X)^(m-1)(Y))).
+    """The group-like series exp(-(rho·X + sum_m li_m ad(X)^(m-1)(Y))),
+    modulo the XY/YY ideal JY.
 
-    li is derived from the characters; the expansion's single-Y and pure-X
-    coefficients are what the group-like engine checks.
+    li is derived from the characters.  The survivors of JY are exactly the
+    pure-X and Y.X^i words whose coefficients the group-like engine checks.
     """
     li = [li_from_chi(rho, chi_values, m) for m in range(1, len(chi_values) + 1)]
     lam = PolylogPart(ring, 1, flavor, len(li), rho, {0: li}).rebuild(trunc)
-    return (-lam).exp()
+    return exp_mod(-lam, MOD_JY)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +432,7 @@ def verify_conversions(depth=8):
         for i in range(K):
             coeffs[Word(1, FLAVOR_STANDARD, (1,) + (0,) * i)] = -ds[i]
         gen = NCSeries(ring_j, 1, FLAVOR_STANDARD, K, coeffs)
-        lg = log_mod(gen, "JY")
+        lg = log_mod(gen, MOD_JY)
         ok_extract = True
         for m in range(1, K + 1):
             got = lg.coefficient(Word(1, FLAVOR_STANDARD, (1,) + (0,) * (m - 1)))
@@ -452,7 +455,7 @@ def verify_conversions(depth=8):
 
         # dual route: the same extraction applied to the group-like series
         # must reproduce the value coefficients on Y.X^(m-1) words
-        lg_g = log_mod(reduce_mod_ideal(g, "JY"), "JY")
+        lg_g = log_mod(g, MOD_JY)
         ok_dual = True
         for m in range(1, K + 1):
             got = lg_g.coefficient(Word(1, FLAVOR_STANDARD, (1,) + (0,) * (m - 1)))

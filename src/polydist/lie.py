@@ -6,8 +6,9 @@ Contents:
   at least two puncture letters — at any level) and ``JY`` (level-1 words
   containing XY or YY, whose survivors are X^i and Y.X^i);
 - exp/log/BCH computed from their definitions, optionally inside one of
-  those quotients (reduce after every product — the ideals are monomial
-  two-sided ideals, so this is exact quotient arithmetic);
+  those quotients: the ideals are monomial two-sided ideals, so a quotient
+  product is exact when it skips every pair of words whose product lies in
+  the ideal, before multiplying their coefficients;
 - ``PolylogPart``: the coordinates (x-coefficient, per-branch coefficients
   of the iterated brackets ad(X)^(m-1)(Y_s)) of a Lie-like element modulo
   IY, with an exact residual check on extraction;
@@ -42,8 +43,8 @@ class NotPolylogError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _survives_iy(w):
-    return len(w.letters) - wt_x(w) < 2
+def _y_count(w):
+    return len(w.letters) - wt_x(w)
 
 
 def _survives_jy(w):
@@ -51,16 +52,20 @@ def _survives_jy(w):
     return not any(w.letters[1:])
 
 
+def _survivor_test(which, level):
+    """The test a word passes iff it lies outside the ideal ``which``."""
+    if which == MOD_IY:
+        return lambda w: _y_count(w) < 2
+    if which == MOD_JY:
+        if level != 1:
+            raise SeriesError("the XY/YY quotient is defined at level 1 only")
+        return _survives_jy
+    raise ValueError(f"unknown ideal {which!r}")
+
+
 def reduce_mod_ideal(series, which):
     """Project away the span of the monomial ideal ``which`` (IY or JY)."""
-    if which == MOD_IY:
-        keep = _survives_iy
-    elif which == MOD_JY:
-        if series.level != 1:
-            raise SeriesError("the XY/YY quotient is defined at level 1 only")
-        keep = _survives_jy
-    else:
-        raise ValueError(f"unknown ideal {which!r}")
+    keep = _survivor_test(which, series.level)
     return NCSeries(
         series.ring,
         series.level,
@@ -71,16 +76,42 @@ def reduce_mod_ideal(series, which):
 
 
 def mul_mod(a, b, which=None):
-    prod = a * b
-    return prod if which is None else reduce_mod_ideal(prod, which)
+    """``a * b``, projected away from the ideal ``which`` when given.
+
+    Each input is reduced once, and a pair of surviving words (w1, w2) is
+    multiplied only if w1·w2 survives too, so no coefficient product is
+    spent on a word of the ideal: modulo IY the Y counts of w1 and w2 add up
+    to at most 1; modulo JY w2 is pure X, or w1 is empty.  The right terms
+    are split once into one list per case and each left word picks its
+    list, so no pair is tested.
+    """
+    if which is None:
+        return a * b
+    a._check(b)
+    keep = _survivor_test(which, a.level)
+    right = [t for t in b.coeffs.items() if keep(t[0])]
+    if which == MOD_IY:
+        y_free = [t for t in right if _y_count(t[0]) == 0]
+        by_y_count = (right, y_free, ())
+
+        def partners(w1):
+            return by_y_count[min(_y_count(w1), 2)]
+
+    else:
+        pure_x = [t for t in right if not any(t[0].letters)]
+
+        def partners(w1):
+            if not w1.letters:
+                return right
+            return pure_x if keep(w1) else ()
+
+    return a._product(b, partners)
 
 
 def exp_mod(s, which=None):
-    """exp, reducing after every product when ``which`` is given."""
+    """exp, computed in the quotient by ``which`` when it is given."""
     if not s.ring.is_zero(s.constant_term()):
         raise SeriesError("exp needs zero constant term")
-    if which is not None:
-        s = reduce_mod_ideal(s, which)
     acc = NCSeries.one(s.ring, s.level, s.flavor, s.trunc)
     term = acc
     for k in range(1, s.trunc + 1):
@@ -92,9 +123,7 @@ def exp_mod(s, which=None):
 
 
 def log_mod(g, which=None):
-    """log, reducing after every product when ``which`` is given."""
-    if which is not None:
-        g = reduce_mod_ideal(g, which)
+    """log, computed in the quotient by ``which`` when it is given."""
     u = g - NCSeries.one(g.ring, g.level, g.flavor, g.trunc)
     if not g.ring.is_zero(u.constant_term()):
         raise SeriesError("log needs constant term one")
@@ -210,7 +239,7 @@ def polylog_part(lam, depth=None):
             coeffs.append(c)
         branches[s] = tuple(coeffs)
     part = PolylogPart(lam.ring, lam.level, lam.flavor, depth, x_coeff, branches)
-    residual = reduced - reduce_mod_ideal(part.rebuild(lam.trunc), MOD_IY)
+    residual = reduced - part.rebuild(lam.trunc)
     if not residual.is_zero():
         bad = residual.support()[0]
         raise NotPolylogError(

@@ -125,26 +125,36 @@ class NCSeries:
 
     def __mul__(self, other):
         if isinstance(other, NCSeries):
-            other = self._check(other)
-            trunc = min(self.trunc, other.trunc)
-            coeffs = {}
-            for w1, c1 in self.coeffs.items():
-                d1 = w1.degree()
-                if d1 > trunc:
-                    continue
-                for w2, c2 in other.coeffs.items():
-                    if d1 + w2.degree() > trunc:
-                        continue
-                    w = w1 * w2
-                    c = c1 * c2
-                    s = coeffs.get(w)
-                    s = c if s is None else s + c
-                    if self.ring.is_zero(s):
-                        coeffs.pop(w, None)
-                    else:
-                        coeffs[w] = s
-            return NCSeries(self.ring, self.level, self.flavor, trunc, coeffs)
+            return self._product(self._check(other))
         return self.scale(other)
+
+    def _product(self, other, partners=None):
+        """The truncated product ``self * other``.
+
+        ``partners``, when given, maps each word of ``self`` to the
+        ``(word, coefficient)`` terms of ``other`` it is multiplied with;
+        the pairs it leaves out are skipped before their coefficients are
+        multiplied.  Without it every pair is formed.
+        """
+        trunc = min(self.trunc, other.trunc)
+        coeffs = {}
+        terms = other.coeffs.items()
+        for w1, c1 in self.coeffs.items():
+            d1 = w1.degree()
+            if d1 > trunc:
+                continue
+            for w2, c2 in terms if partners is None else partners(w1):
+                if d1 + w2.degree() > trunc:
+                    continue
+                w = w1 * w2
+                c = c1 * c2
+                s = coeffs.get(w)
+                s = c if s is None else s + c
+                if self.ring.is_zero(s):
+                    coeffs.pop(w, None)
+                else:
+                    coeffs[w] = s
+        return NCSeries(self.ring, self.level, self.flavor, trunc, coeffs)
 
     def __rmul__(self, other):
         # scalars commute with every coefficient ring we use

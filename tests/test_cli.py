@@ -32,7 +32,9 @@ def scrubbed(reports):
 # ``verify --all`` reports without ``ms``, recorded before the formal engine
 # moved to the word-by-word route; every later change must reproduce them.
 # The formal (1,4,til,7) and (1,3,std,6) reports, lines 7 and 8, were added
-# with the prefix-shared word images.
+# with the prefix-shared word images; bch-closed-form at degree 8 (line 10),
+# inhomogeneous and homogeneous n = 2, 3 at depth 8 (lines 14-15 and 18-19)
+# with the quotient products that skip pairs landing in the ideal.
 GOLDEN_VERIFY_ALL = [
     json.loads(line)
     for line in (Path(__file__).parent / "data" / "verify_all.jsonl")
@@ -197,3 +199,31 @@ def test_formal_matrix_entries_keep_their_own_degree():
     assert formal("formal-distribution", "--flavor", "std", "--n", "3") == [
         (1, 3, "std", 5)
     ]
+
+
+def test_lie_matrix_entries_keep_their_own_degree_or_depth():
+    from polydist import cli
+
+    parser = cli.build_parser()
+
+    def lie(*argv):
+        tasks = cli._verify_tasks(parser.parse_args(["verify", *argv]))
+        return [(name, kw.get("n"), kw.get("degree", kw.get("depth")))
+                for name, kw in tasks
+                if name in ("bch", "conversions", "inhomogeneous", "homogeneous")]
+
+    assert lie("--all") == [
+        ("bch", None, 6), ("bch", None, 8), ("conversions", None, 8),
+        ("inhomogeneous", 2, 6), ("inhomogeneous", 3, 6),
+        ("inhomogeneous", 2, 8), ("inhomogeneous", 3, 8),
+        ("homogeneous", 2, 6), ("homogeneous", 3, 6),
+        ("homogeneous", 2, 8), ("homogeneous", 3, 8),
+    ]
+    # one --degree and one --depth for the whole matrix run each entry once
+    assert lie("--all", "--degree", "5", "--depth", "4") == [
+        ("bch", None, 5), ("conversions", None, 4),
+        ("inhomogeneous", 2, 4), ("inhomogeneous", 3, 4),
+        ("homogeneous", 2, 4), ("homogeneous", 3, 4),
+    ]
+    assert lie("bch-closed-form") == [("bch", None, 6)]
+    assert lie("inhomogeneous", "--n", "3") == [("inhomogeneous", 3, 6)]

@@ -18,12 +18,15 @@ from polydist.lie import (
     beta_series,
     exp_mod,
     log_mod,
+    mul_mod,
     polylog_part,
     reduce_mod_ideal,
 )
-from polydist.ncseries import NCSeries
-from polydist.scalars import QQ, PolyRing
-from polydist.words import FLAVOR_STANDARD, Word, parse_word
+from polydist.distrib import group_like_from_chi, li_from_chi
+from polydist.lie import PolylogPart
+from polydist.ncseries import NCSeries, SeriesError
+from polydist.scalars import QQ, PolyRing, SymbolicPoly
+from polydist.words import FLAVOR_STANDARD, FLAVORS, Word, parse_word
 
 X = parse_word("n=1,std:X")
 Y = parse_word("n=1,std:Y0")
@@ -121,6 +124,145 @@ def test_ideal_reduction_jy():
     lvl2 = NCSeries.monomial(QQ, parse_word("n=2,std:Y1"), 3)
     with pytest.raises(ValueError):
         reduce_mod_ideal(lvl2, MOD_JY)
+
+
+# -- quotient products against the old route: full product, then reduce --
+
+PQ = PolyRing(["p", "q"])
+# (ideal, level): IY at every level, JY at level 1 only
+QUOTIENTS = [(MOD_IY, 1), (MOD_IY, 2), (MOD_IY, 3), (MOD_JY, 1)]
+
+
+def _coefficient(draw, ring):
+    if ring == QQ:
+        return draw(coeffs)
+    return PQ.sym("p") * draw(coeffs) + PQ.sym("q") * draw(coeffs) + draw(coeffs)
+
+
+@st.composite
+def _series(draw, ring, level, flavor, trunc, min_degree=0, max_terms=6):
+    """A sparse series whose words are drawn freely, so it is not reduced."""
+    word = st.integers(min_degree, trunc).flatmap(
+        lambda d: st.lists(st.integers(0, level), min_size=d, max_size=d)
+    )
+    words = draw(st.lists(word, min_size=1, max_size=max_terms))
+    return NCSeries(ring, level, flavor, trunc, {
+        Word(level, flavor, tuple(w)): _coefficient(draw, ring) for w in words
+    })
+
+
+@st.composite
+def _quotient_case(draw, n_series, min_degree, max_trunc, max_terms):
+    """An ideal, and ``n_series`` series of one algebra over QQ or PQ, each
+    with its own truncation."""
+    which, level = draw(st.sampled_from(QUOTIENTS))
+    flavor = draw(st.sampled_from(FLAVORS))
+    ring = draw(st.sampled_from([QQ, PQ]))
+    series = [
+        draw(_series(ring, level, flavor, draw(st.integers(2, max_trunc)),
+                     min_degree, max_terms))
+        for _ in range(n_series)
+    ]
+    return which, series
+
+
+@given(_quotient_case(2, 0, 5, 6))
+@settings(max_examples=80, deadline=None)
+def test_mul_mod_equals_reduced_full_product(case):
+    which, (a, b) = case
+    assert mul_mod(a, b, which) == reduce_mod_ideal(a * b, which)
+
+
+@given(_quotient_case(2, 1, 5, 3))
+@settings(max_examples=40, deadline=None)
+def test_exp_log_bch_mod_equal_reduced_full_computation(case):
+    which, (s, t) = case
+    assert exp_mod(s, which) == reduce_mod_ideal(exp_mod(s), which)
+    g = s + NCSeries.one(s.ring, s.level, s.flavor, s.trunc)
+    assert log_mod(g, which) == reduce_mod_ideal(log_mod(g), which)
+    assert bch(s, t, which) == reduce_mod_ideal(bch(s, t), which)
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("depth", [1, 4, 6])
+def test_group_like_from_chi_is_the_full_exp_reduced_mod_jy(depth, flavor):
+    ring = PolyRing(["rho"] + [f"c{k}" for k in range(1, depth + 1)])
+    rho = ring.sym("rho")
+    cs = [ring.sym(f"c{k}") for k in range(1, depth + 1)]
+    li = [li_from_chi(rho, cs, m) for m in range(1, depth + 1)]
+    lam = PolylogPart(ring, 1, flavor, depth, rho, {0: li}).rebuild(depth)
+    assert group_like_from_chi(ring, rho, cs, depth, flavor) == reduce_mod_ideal(
+        (-lam).exp(), MOD_JY
+    )
+
+
+def test_quotient_products_reject_unknown_ideals_and_jy_above_level_one():
+    a = mono(X, 3) + mono(Y, 3)
+    with pytest.raises(ValueError, match="unknown ideal"):
+        mul_mod(a, a, "KY")
+    with pytest.raises(ValueError, match="unknown ideal"):
+        reduce_mod_ideal(a, "KY")
+    lvl2 = NCSeries.monomial(QQ, parse_word("n=2,std:Y1"), 3)
+    for f in (lambda: mul_mod(lvl2, lvl2, MOD_JY), lambda: exp_mod(lvl2, MOD_JY),
+              lambda: reduce_mod_ideal(lvl2, MOD_JY)):
+        with pytest.raises(SeriesError, match="level 1 only"):
+            f()
+
+
+def _y_count(w):
+    return sum(1 for a in w.letters if a)
+
+
+def test_bch_mod_iy_multiplies_only_surviving_pairs(monkeypatch):
+    """Each quotient product multiplies exactly the coefficient pairs of its
+    reduced operands whose product fits the truncation and has at most one
+    Y; the pairs the old route multiplied and then threw away are skipped."""
+    ring = PolyRing(["a", "b", "c"])
+    a, b, c = (ring.sym(v) for v in "abc")
+
+    def term(text, coeff):
+        return NCSeries.monomial(ring, parse_word("n=2,std:" + text), 5, coeff)
+
+    # Y0.Y1 lies in IY, so the inputs are not reduced
+    s = term("X", a) + term("Y0", b) + term("Y0.Y1", c)
+    t = term("Y1", c) + term("X.Y0", a) + term("X", b)
+
+    products = 0
+    mul = SymbolicPoly.__mul__
+
+    def counted_mul(self, other):
+        nonlocal products
+        products += 1
+        return mul(self, other)
+
+    calls = []
+    product = NCSeries._product
+
+    def recorded_product(self, other, partners=None):
+        before = products
+        out = product(self, other, partners)
+        calls.append((self, other, products - before))
+        return out
+
+    monkeypatch.setattr(SymbolicPoly, "__mul__", counted_mul)
+    monkeypatch.setattr(NCSeries, "_product", recorded_product)
+    got = bch(s, t, MOD_IY)
+    monkeypatch.undo()
+
+    assert got == reduce_mod_ideal(bch(s, t), MOD_IY)
+    assert calls
+    surviving = every = 0
+    for left, right, made in calls:
+        fit = [
+            (w1, w2)
+            for w1 in left.coeffs for w2 in right.coeffs
+            if len(w1.letters) + len(w2.letters) <= min(left.trunc, right.trunc)
+        ]
+        kept = sum(1 for w1, w2 in fit if _y_count(w1) + _y_count(w2) <= 1)
+        assert made == kept
+        surviving += kept
+        every += len(fit)
+    assert surviving < every
 
 
 def test_exp_log_mod_ideal_roundtrip():
