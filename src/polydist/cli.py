@@ -11,9 +11,14 @@ Usage examples:
     polydist numeric --all
 
 One JSON object per report is written to stdout (and to --out if given).
-Exit status is 0 iff every report passes; invalid usage (including
---word together with --all) exits 2.  The
-environment variable POLYDIST_MAX_DEGREE caps symbolic degrees.
+Exit status is 0 iff every report passes and 1 if a check fails.  Invalid
+usage exits 2 with no report: that includes --word together with --all, a
+parameter an engine refuses (``ParameterError``) and a degree above the
+cap that the environment variable POLYDIST_MAX_DEGREE sets.  An engine
+that raises any other exception gets, in place of its report, a line
+``{"statement", "params", "status": "error", "error": {"type", "message"}}``
+with the task's name as ``statement``; the other reports are kept, and the
+run exits 3.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 from math import gcd
 
 from . import distrib, measures, polylog_num
+from .report import ErrorReport, ParameterError
 from .words import WordError, parse_word
 
 VERIFY_SELECTORS = (
@@ -96,6 +102,9 @@ def _verify_tasks(args):
     if sel == "all":
         tasks.extend(_measure_tasks(args, "all"))
         tasks.extend(_numeric_tasks(args, "all"))
+        # entries added after the recorded matrix go last, so every
+        # earlier report keeps its place in the output
+        add("bch", degree=degree or 9, candidate=args.candidate)
     return tasks
 
 
@@ -189,6 +198,17 @@ def _run_task(task):
     return _RUNNERS[name](**kwargs)
 
 
+def _run_or_error(task):
+    """``_run_task``, with an engine exception turned into an ErrorReport;
+    a ParameterError, a usage error, still propagates."""
+    try:
+        return _run_task(task)
+    except ParameterError:
+        raise
+    except Exception as exc:
+        return ErrorReport(task[0], task[1], type(exc).__name__, str(exc))
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="polydist",
@@ -253,10 +273,10 @@ def main(argv=None):
     try:
         if args.jobs and args.jobs > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                reports = list(pool.map(_run_task, tasks))
+                reports = list(pool.map(_run_or_error, tasks))
         else:
-            reports = [_run_task(t) for t in tasks]
-    except (distrib.DegreeCapError, ValueError) as exc:
+            reports = [_run_or_error(t) for t in tasks]
+    except ParameterError as exc:
         parser.error(str(exc))
 
     lines = [r.to_json_line() for r in reports]
@@ -265,6 +285,8 @@ def main(argv=None):
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("\n".join(lines) + "\n")
+    if any(isinstance(r, ErrorReport) for r in reports):
+        return 3
     return 0 if all(r.ok for r in reports) else 1
 
 

@@ -43,7 +43,7 @@ from .lie import (
     reduce_mod_ideal,
 )
 from .ncseries import NCSeries
-from .report import VerificationReport, timed
+from .report import ParameterError, VerificationReport, timed
 from .scalars import QQ, PolyRing
 from .words import (
     FLAVOR_STANDARD,
@@ -59,7 +59,7 @@ from .words import (
 DEFAULT_MAX_DEGREE = 12
 
 
-class DegreeCapError(ValueError):
+class DegreeCapError(ParameterError):
     """Raised when a requested degree exceeds POLYDIST_MAX_DEGREE."""
 
 
@@ -74,7 +74,7 @@ def _check_degree(degree):
             f"degree {degree} exceeds POLYDIST_MAX_DEGREE={cap}"
         )
     if degree < 1:
-        raise ValueError("degree must be >= 1")
+        raise ParameterError("degree must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +255,7 @@ def verify_bch_closed_form(degree=6, candidate="both"):
     """
     _check_degree(degree)
     if candidate not in ("shift-denominator", "base-denominator", "both"):
-        raise ValueError(f"unknown candidate {candidate!r}")
+        raise ParameterError(f"unknown candidate {candidate!r}")
     report = VerificationReport(
         "bch-closed-form", {"degree": degree, "candidate": candidate}
     )
@@ -733,7 +733,7 @@ def verify_inhomogeneous_pipeline(n=2, depth=6):
     """Full inhomogeneous pipeline at level n, symbolic, to the given depth."""
     _check_degree(depth)
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise ParameterError("need n >= 2")
     report = VerificationReport(
         "inhomogeneous", {"n": n, "depth": depth}
     )
@@ -851,7 +851,7 @@ def verify_homogeneous_polylog(n=2, depth=6):
     """Homogeneized pipeline: diagonal push-forward and clean collapse."""
     _check_degree(depth)
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise ParameterError("need n >= 2")
     report = VerificationReport("homogeneous", {"n": n, "depth": depth})
     with timed(report):
         payload = _homogeneous_payload(n, depth)

@@ -16,6 +16,8 @@ images, summing each target coefficient once with the series ring's
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .scalars import QQ
 from .words import empty_word, render_letters
 
@@ -161,6 +163,10 @@ class NCSeries:
         return self.scale(other)
 
     def scale(self, c):
+        if isinstance(c, (int, Fraction)):
+            # a rational factor only rescales coefficients: no ring product
+            lincomb = self.ring.lincomb
+            return self._like({w: lincomb(((v, c),)) for w, v in self.coeffs.items()})
         c = self.ring.coerce(c)
         if self.ring.is_zero(c):
             return NCSeries.zero(self.ring, self.level, self.flavor, self.trunc)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .report import VerificationReport, timed
+from .report import ParameterError, VerificationReport, timed
 from .words import FLAVOR_STANDARD, Word, enumerate_lifts, wt_x
 
 
@@ -174,18 +174,16 @@ def li_classical(k, z, tol=1e-12, max_terms=8_000_000):
         raise ConvergenceError(
             f"would need {terms} terms (> max_terms={max_terms})"
         )
-    total = 0j
-    chunk = 1 << 19
+    chunk = 1 << 16  # a few full-size complex temporaries per chunk
     partials = []
     for start in range(1, terms + 1, chunk):
         stop = min(start + chunk, terms + 1)
         m = np.arange(start, stop, dtype=float)
         vals = np.power(z, np.arange(start, stop)) / m**k
         partials.append(complex(np.sum(vals)))
-    total = complex(
+    return complex(
         math.fsum(p.real for p in partials), math.fsum(p.imag for p in partials)
     )
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +353,10 @@ def verify_numeric_distribution(r, n, z, words=None, tol=1e-10, max_degree=3):
     """Numerical distribution relation at a point: for level-r words w,
     value(w at z^n) = n^(wt_x(w)) * sum of values over lifts(w, n) at z.
 
-    Raises ValueError for a given word whose level is not r."""
+    Raises ParameterError for a given word whose level is not r."""
     for w in words or ():
         if w.level != r:
-            raise ValueError(f"word {w} is not at level r = {r}")
+            raise ParameterError(f"word {w} is not at level r = {r}")
     z = complex(z)
     report = VerificationReport(
         "numeric-distribution",

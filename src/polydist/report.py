@@ -4,6 +4,11 @@ A report carries named checks (each an independently decidable assertion),
 optional residual records (structured payloads for expected-failure or
 diagnostic data), and a wall-clock duration.  Serialization is deterministic
 apart from the ``ms`` field.
+
+An engine that raises instead of reporting is recorded as an
+``ErrorReport`` (status ``error``).  ``ParameterError`` is the exception
+for parameters an engine refuses before doing any work: a usage error,
+not an engine failure.
 """
 
 from __future__ import annotations
@@ -12,6 +17,10 @@ import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+
+
+class ParameterError(ValueError):
+    """Raised by an engine for parameters it refuses before any work."""
 
 
 @dataclass
@@ -68,6 +77,30 @@ class VerificationReport:
     def summary(self):
         flag = "PASS" if self.ok else "FAIL"
         return f"{flag} {self.statement} ({len(self.checks)} checks, {self.ms:.0f} ms)"
+
+
+@dataclass
+class ErrorReport:
+    """The exception an engine raised in place of its report, by type name
+    and message (strings, so it crosses process boundaries)."""
+
+    statement: str
+    params: dict
+    error_type: str
+    message: str
+
+    ok = False
+
+    def to_json_line(self):
+        return json.dumps(
+            {
+                "statement": self.statement,
+                "params": self.params,
+                "status": "error",
+                "error": {"type": self.error_type, "message": self.message},
+            },
+            default=str,
+        )
 
 
 @contextmanager

@@ -14,11 +14,18 @@ Elements know their ring; mixing elements of different rings raises
 ring.  ``lincomb(pairs)`` is the one way to sum coefficients: it returns
 the sum of q·p over ``(p, q)`` pairs, p in the ring and q rational, in one
 pass instead of a fold of ``+`` that copies every partial sum.
+
+Polynomial products and ``PolyRing.lincomb`` work in Python ints: each
+operand is put over the lcm of its term denominators, the integer
+numerators are accumulated per monomial, and one ``Fraction`` (one gcd) is
+built per output term from the sum and the common denominator, instead of
+a normalised ``Fraction`` per pair of terms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 class RingMismatchError(ValueError):
@@ -137,12 +144,20 @@ class PolyRing:
         raise RingMismatchError(f"cannot coerce {x!r} into {self!r}")
 
     def lincomb(self, pairs):
-        """Sum of q·p over ``(p, q)`` pairs, q rational, built in one dict."""
-        terms = {}
+        """Sum of q·p over ``(p, q)`` pairs, q rational, summed in integers
+        over the common denominator of every q·p."""
+        scaled = []
         for p, q in pairs:
-            for m, c in self.coerce(p).terms.items():
-                terms[m] = terms.get(m, 0) + q * c
-        return SymbolicPoly(self, terms)
+            if q:
+                nums, d = _integer_terms(self.coerce(p).terms)
+                scaled.append((nums, q.numerator, q.denominator * d))
+        den = lcm(*[d for _, _, d in scaled])
+        acc = {}
+        for nums, qn, d in scaled:
+            f = qn * (den // d)
+            for m, a in nums:
+                acc[m] = acc.get(m, 0) + f * a
+        return SymbolicPoly(self, {m: Fraction(v, den) for m, v in acc.items() if v})
 
     def __repr__(self):
         shown = ",".join(self.gens[:4]) + (",..." if len(self.gens) > 4 else "")
@@ -200,7 +215,8 @@ class SymbolicPoly:
             return NotImplemented
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m, Fraction(0)) + c
+            s = terms.get(m)
+            s = c if s is None else s + c
             if s:
                 terms[m] = s
             else:
@@ -228,16 +244,15 @@ class SymbolicPoly:
         other = self._check(other)
         if other is None:
             return NotImplemented
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        nums1, d1 = _integer_terms(self.terms)
+        nums2, d2 = _integer_terms(other.terms)
+        acc = {}
+        for m1, a in nums1:
+            for m2, b in nums2:
                 m = _mul_monomials(m1, m2)
-                s = terms.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    terms[m] = s
-                else:
-                    terms.pop(m, None)
-        return SymbolicPoly(self.ring, terms)
+                acc[m] = acc.get(m, 0) + a * b
+        d = d1 * d2
+        return SymbolicPoly(self.ring, {m: Fraction(v, d) for m, v in acc.items() if v})
 
     __rmul__ = __mul__
 
@@ -333,6 +348,13 @@ class SymbolicPoly:
         return out.replace("+ -", "- ")
 
     __repr__ = __str__
+
+
+def _integer_terms(terms):
+    """``([(monomial, numerator), ...], d)``: the terms over d, the lcm of
+    their denominators."""
+    d = lcm(*[c.denominator for c in terms.values()])
+    return [(m, c.numerator * (d // c.denominator)) for m, c in terms.items()], d
 
 
 def _mul_monomials(m1, m2):

@@ -3,9 +3,13 @@
 import json
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
+
+from polydist import cli
+from polydist.ncseries import SeriesError
 
 BASE = [sys.executable, "-m", "polydist.cli"]
 
@@ -34,7 +38,9 @@ def scrubbed(reports):
 # The formal (1,4,til,7) and (1,3,std,6) reports, lines 7 and 8, were added
 # with the prefix-shared word images; bch-closed-form at degree 8 (line 10),
 # inhomogeneous and homogeneous n = 2, 3 at depth 8 (lines 14-15 and 18-19)
-# with the quotient products that skip pairs landing in the ideal.
+# with the quotient products that skip pairs landing in the ideal;
+# bch-closed-form at degree 9 (line 80, the last task of the matrix) with
+# the integer accumulation of polynomial products.
 GOLDEN_VERIFY_ALL = [
     json.loads(line)
     for line in (Path(__file__).parent / "data" / "verify_all.jsonl")
@@ -218,6 +224,7 @@ def test_lie_matrix_entries_keep_their_own_degree_or_depth():
         ("inhomogeneous", 2, 8), ("inhomogeneous", 3, 8),
         ("homogeneous", 2, 6), ("homogeneous", 3, 6),
         ("homogeneous", 2, 8), ("homogeneous", 3, 8),
+        ("bch", None, 9),
     ]
     # one --degree and one --depth for the whole matrix run each entry once
     assert lie("--all", "--degree", "5", "--depth", "4") == [
@@ -227,3 +234,40 @@ def test_lie_matrix_entries_keep_their_own_degree_or_depth():
     ]
     assert lie("bch-closed-form") == [("bch", None, 6)]
     assert lie("inhomogeneous", "--n", "3") == [("inhomogeneous", 3, 6)]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_engine_exception_is_an_error_line_and_keeps_the_other_reports(
+    monkeypatch, capsys, jobs
+):
+    real = cli._RUNNERS["congruence"]
+
+    def congruence(q, c):
+        if c == 3:
+            raise SeriesError("series live in different algebras")
+        return real(q=q, c=c)
+
+    monkeypatch.setitem(cli._RUNNERS, "congruence", congruence)
+    # threads, so that the --jobs workers see the patched runner
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", ThreadPoolExecutor)
+    code = cli.main(["measures", "congruence", "--q", "8", "--jobs", str(jobs)])
+    assert code == 3
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [line["params"]["c"] for line in lines] == list(range(1, 16, 2))
+    assert [line["status"] for line in lines] == ["pass", "error"] + ["pass"] * 6
+    assert lines[1] == {
+        "statement": "congruence",
+        "params": {"q": 8, "c": 3},
+        "status": "error",
+        "error": {
+            "type": "SeriesError",
+            "message": "series live in different algebras",
+        },
+    }
+
+
+def test_refused_engine_parameter_exits_2():
+    proc = run_cli("verify", "inhomogeneous", "--n", "1", "--depth", "3")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "need n >= 2" in proc.stderr

@@ -139,6 +139,20 @@ def test_li_classical_boundary_domains():
     assert abs(got - want) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "theta, tol",
+    [(t, 1e-10) for t in (0.5, math.pi / 3, 2.0, math.pi, 4.0, 6.0)]
+    + [(t, 1e-12) for t in (math.pi / 3, math.pi)],
+)
+def test_li_classical_on_the_unit_circle_matches_the_closed_form(theta, tol):
+    # Re Li_2(e^{i theta}) = pi^2/6 - pi theta/2 + theta^2/4 on (0, 2 pi).
+    # The Abel bound asks for 0.14 M to 2 M terms here, so each sum runs
+    # over several chunks of the evaluator.
+    got = li_classical(2, cmath.exp(1j * theta), tol=tol)
+    want = math.pi**2 / 6 - math.pi * theta / 2 + theta**2 / 4
+    assert abs(got.real - want) < tol
+
+
 def test_kubert_identity_for_classical_li():
     # Li_k(z^2) = 2^(k-1) (Li_k(z) + Li_k(-z))
     for k in (1, 2, 3):
