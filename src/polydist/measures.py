@@ -18,10 +18,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
+from operator import mul
 
-from .lie import bernoulli_poly_eval
-from .report import VerificationReport, timed
+from .lie import bernoulli_number
+from .report import ParameterError, VerificationReport, timed
 
 
 def padic_valuation(n, ell):
@@ -118,16 +119,29 @@ def random_measure(ell, m, offset, rng, max_mass=None):
     )
 
 
+def power_sums(mu, depth):
+    """Integer power sums P_k = sum over a of mass(a)·(p + q·a)^(k-1) for
+    k = 1..depth (depth >= 1), with offset = p/q; the k-th moment is
+    P_k / q^(k-1).  All depths come from one call: each depth multiplies
+    the running terms by the grid points once."""
+    p, q = mu.offset.numerator, mu.offset.denominator
+    terms = list(mu.values)
+    points = range(p, p + q * len(terms), q)
+    sums = [sum(terms)]
+    while len(sums) < depth:
+        terms = list(map(mul, terms, points))
+        sums.append(sum(terms))
+    return sums
+
+
 def moment_exact(mu, k):
     """Exact k-th moment: sum over a of (offset + a)^(k-1) * mass(a).
 
-    With offset = p/q this is sum v·(p + q·a)^(k-1) / q^(k-1): the sum runs
+    With offset = p/q this is P_k / q^(k-1) (``power_sums``): the sum runs
     in integers and only the final division makes a Fraction."""
     if k < 1:
         raise MeasureError("moment depth k must be >= 1")
-    p, q, e = mu.offset.numerator, mu.offset.denominator, k - 1
-    total = sum(v * (p + q * a) ** e for a, v in enumerate(mu.values) if v)
-    return Fraction(total, q**e)
+    return Fraction(power_sums(mu, k)[-1], mu.offset.denominator ** (k - 1))
 
 
 def pushforward_mul(mu, n):
@@ -188,16 +202,30 @@ def verify_measure_pushforward(ell, m, n, trials=100, seed=0, depth=6):
     """Seeded random measures on the shifted grids s/n + Z/ell^m: check that
     push-forward along multiplication by n scales depth-k moments by
     n^(k-1) modulo ell^(m - v_ell(n)), per branch and for the branch sum,
-    plus mass preservation and a corruption negative control."""
+    plus mass preservation and a corruption negative control.
+
+    Every measure's power sums for all depths come from one ``power_sums``
+    call.  With offset p/q, n^(k-1)·moment_k is n^(k-1)·P_k / q^(k-1), so
+    integrality and the congruence are tests of integer divisibility.
+
+    Raises ParameterError, before any work, unless ell is prime, n >= 1,
+    depth >= 1 and m - v_ell(n) >= 0."""
+    if not _is_prime(ell):
+        raise ParameterError(f"ell = {ell} is not a prime")
+    if n < 1:
+        raise ParameterError(f"multiplier n = {n} must be >= 1")
+    if depth < 1:
+        raise ParameterError(f"depth = {depth} must be >= 1")
+    m_new = m - padic_valuation(n, ell)
+    if m_new < 0:
+        raise ParameterError(
+            f"target level m - v_ell(n) = {m_new} is negative for m = {m}, n = {n}"
+        )
     report = VerificationReport(
         "measure-pushforward",
         {"ell": ell, "m": m, "n": n, "trials": trials, "seed": seed, "depth": depth},
     )
     with timed(report):
-        v = padic_valuation(n, ell)
-        m_new = m - v
-        if m_new < 0:
-            raise MeasureError("level too small for this multiplier")
         modulus = ell**m_new
         rng = random.Random(seed)
         ok_branch = True
@@ -214,19 +242,21 @@ def verify_measure_pushforward(ell, m, n, trials=100, seed=0, depth=6):
                 total = total.add(p)
             if total.mass() != sum(mu.mass() for mu in branches):
                 ok_mass = False
-            for k in range(1, depth + 1):
-                rhs_all = Fraction(0)
-                for mu, p in zip(branches, pushed):
-                    lhs = moment_exact(p, k)
-                    rhs = Fraction(n) ** (k - 1) * moment_exact(mu, k)
+            sums = [
+                (power_sums(p, depth), power_sums(mu, depth), mu.offset.denominator)
+                for mu, p in zip(branches, pushed)
+            ]
+            total_sums = power_sums(total, depth)
+            for e in range(depth):  # e = k - 1; pushed measures sit at offset 0
+                rhs_all = 0
+                for lhs, raw, q in sums:
+                    rhs, rem = divmod(n**e * raw[e], q**e)
                     rhs_all += rhs
-                    diff = lhs - rhs
-                    if diff.denominator != 1 or diff.numerator % modulus:
+                    if rem or (lhs[e] - rhs) % modulus:
                         ok_branch = False
                         if first_bad is None:
-                            first_bad = (trial, k)
-                diff = moment_exact(total, k) - rhs_all
-                if diff.denominator != 1 or diff.numerator % modulus:
+                            first_bad = (trial, e + 1)
+                if (total_sums[e] - rhs_all) % modulus:
                     ok_sum = False
         report.add(
             "branch-moment-scaling",
@@ -247,13 +277,11 @@ def verify_measure_pushforward(ell, m, n, trials=100, seed=0, depth=6):
         vals = list(mu.values)
         vals[rng.randrange(len(vals))] += 1
         corrupted = FiniteMeasure(ell, m, Fraction(0), tuple(vals))
-        detected = False
-        for k in range(1, depth + 1):
-            diff = moment_exact(pushforward_mul(corrupted, n), k) - Fraction(
-                n
-            ) ** (k - 1) * moment_exact(mu, k)
-            if diff.denominator != 1 or diff.numerator % modulus:
-                detected = True
+        lhs = power_sums(pushforward_mul(corrupted, n), depth)
+        detected = any(
+            (lhs[e] - n**e * raw) % modulus
+            for e, raw in enumerate(power_sums(mu, depth))
+        )
         report.add(
             "corruption-detected",
             detected,
@@ -288,47 +316,50 @@ def bernoulli_congruence_check(q, c):
     difference is in fact exactly zero (both sums telescope to the full sum
     of B2 over the odd residues), which the report records.
 
+    Every B2 value r/N, N = 2q, is the integer D·N^2·B2(r/N) over the one
+    denominator D·N^2, with the coefficients taken from ``bernoulli_number``;
+    the sums run in integers and only the reported difference is a Fraction.
+
     Also checks the folding pairing <m> + <-m> = 2q on representatives.
+
+    Raises ParameterError, before any work, unless q is a prime power and c
+    is invertible mod 2q.
     """
     if not _is_prime_power(q):
-        raise MeasureError(f"q = {q} is not a prime power >= 2")
+        raise ParameterError(f"q = {q} is not a prime power >= 2")
     if c % 2 == 0 or gcd(c, 2 * q) != 1:
-        raise MeasureError(f"c = {c} is not invertible mod 2q = {2 * q}")
+        raise ParameterError(f"c = {c} is not invertible mod 2q = {2 * q}")
     report = VerificationReport("bernoulli-congruence", {"q": q, "c": c})
     with timed(report):
-        cinv = pow(c, -1, 2 * q)
+        N = 2 * q
+        cinv = pow(c, -1, N)
+        terms = [comb(2, j) * bernoulli_number(j) for j in range(3)]
+        D = lcm(*(t.denominator for t in terms))
+        coeffs = [int(t * D) for t in terms]
 
-        def frac_part(x):
-            return x - (x.numerator // x.denominator)
+        def b2(r):
+            """D·N^2·B2({r/N}), an integer."""
+            r %= N
+            return sum(cj * r ** (2 - j) * N**j for j, cj in enumerate(coeffs))
 
-        def b2(x):
-            return bernoulli_poly_eval(2, frac_part(Fraction(x)))
-
-        total = Fraction(0)
-        for b in range(q):
-            total += Fraction(q, 2) * (
-                c * c * b2(Fraction(1 + 2 * cinv * b, 2 * q))
-                - b2(Fraction(2 * b + c, 2 * q))
-            )
-        target = Fraction(c * c - 1, 2) * bernoulli_poly_eval(2, Fraction(1, 2))
-        diff = total - target
-        member = (diff * Fraction(48, q)).denominator == 1
+        s1 = sum(b2(1 + 2 * cinv * b) for b in range(q))
+        s2 = sum(b2(2 * b + c) for b in range(q))
+        # T - target over the denominator 2·D·N^2, with B2(1/2) = B2(q/N)
+        num = q * (c * c * s1 - s2) - (c * c - 1) * b2(q)
+        den = 2 * D * N * N
+        diff = Fraction(num, den)
         report.add(
             "difference-in-lattice",
-            member,
+            (48 * num) % (q * den) == 0,
             f"T - target = {diff}, target lattice (q/48)Z",
         )
         report.add_residual(kind="observed-difference", value=str(diff))
 
         # both sums telescope to the odd-residue B2 sum = -1/(12q)
-        odd_sum = sum(
-            b2(Fraction(rr, 2 * q)) for rr in range(1, 2 * q, 2)
-        )
-        s1 = sum(b2(Fraction(1 + 2 * cinv * b, 2 * q)) for b in range(q))
-        s2 = sum(b2(Fraction(2 * b + c, 2 * q)) for b in range(q))
+        odd_sum = sum(b2(rr) for rr in range(1, N, 2))
         report.add(
             "index-bijections-telescope",
-            s1 == odd_sum == s2 == Fraction(-1, 12 * q),
+            s1 == odd_sum == s2 and 12 * q * odd_sum == -D * N * N,
             "both weighted index families sweep the odd residues",
         )
 

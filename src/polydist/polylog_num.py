@@ -19,7 +19,9 @@ epsilon, Richardson-extrapolated to epsilon -> 0).  On fixed Gauss-Legendre
 nodes, cumulative integration of the interpolant is one fixed matrix, so
 the quadrature integrates all panels of a cut-off level with one matrix
 product per letter.  ``li_classical`` sums the classical series with proven
-truncation bounds and is the oracle for calibration.
+truncation bounds and is the oracle for calibration; on the unit circle it
+replaces the tail by exact Abel corrections (summation by parts), whose
+remainder bound is checked at run time.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -144,10 +147,14 @@ def _check_tail_premise(alpha, word):
 def li_classical(k, z, tol=1e-12, max_terms=8_000_000):
     """Classical depth-k polylog sum_{m>=1} z^m/m^k with certified truncation.
 
-    Domains: |z| < 1 any k >= 1; |z| = 1 with z != 1 any k >= 2 (Abel
-    summation bound 4/(|1-z|·M^k)); z = 1 with k >= 3 (integral bound).
-    (k, z) = (1, 1) diverges; near-boundary cases exceeding ``max_terms``
-    raise ConvergenceError rather than return an uncertified value.
+    Domains: |z| < 1 any k >= 1; |z| = 1 (to within 1e-15) with z != 1 any
+    k >= 2; z = 1 with k >= 3 (integral bound).  On the unit circle M terms
+    are summed and the tail past M is replaced by p exact Abel corrections
+    (``_abel_tail``); the remainder is at most
+    k(k+1)...(k+p-2) / ((M+1)^(k+p-1)·|1-z|^p), checked at run time, with
+    the p <= 12 that needs the fewest terms.  (k, z) = (1, 1) diverges;
+    near-boundary cases exceeding ``max_terms`` raise ConvergenceError
+    rather than return an uncertified value.
     """
     z = complex(z)
     az = abs(z)
@@ -159,7 +166,10 @@ def li_classical(k, z, tol=1e-12, max_terms=8_000_000):
         raise ConvergenceError(
             "depth-2 at z = 1 is out of certified reach of direct summation"
         )
-    if az < 1:
+    p = 0  # Abel corrections, unit circle only
+    # e^(i theta) can round to a modulus just below 1, where the geometric
+    # bound needs ~1e16 terms; the Abel bound holds for |z| <= 1 as well
+    if az < 1 - 1e-15:
         if az == 0:
             return 0j
         terms = int(math.ceil(math.log(tol * (1 - az)) / math.log(az))) + 1
@@ -168,22 +178,62 @@ def li_classical(k, z, tol=1e-12, max_terms=8_000_000):
     else:
         if k < 2:
             raise ConvergenceError("need k >= 2 on the unit circle")
-        bound = 4.0 / abs(1 - z)
-        terms = int(math.ceil((bound / tol) ** (1.0 / k))) + 1
+        terms, p = _abel_plan(k, abs(1 - z), tol)
     if terms > max_terms:
         raise ConvergenceError(
             f"would need {terms} terms (> max_terms={max_terms})"
         )
     chunk = 1 << 16  # a few full-size complex temporaries per chunk
-    partials = []
+    partials = [_abel_tail(k, z, terms, p, tol)] if p else []
     for start in range(1, terms + 1, chunk):
         stop = min(start + chunk, terms + 1)
         m = np.arange(start, stop, dtype=float)
         vals = np.power(z, np.arange(start, stop)) / m**k
         partials.append(complex(np.sum(vals)))
     return complex(
-        math.fsum(p.real for p in partials), math.fsum(p.imag for p in partials)
+        math.fsum(s.real for s in partials), math.fsum(s.imag for s in partials)
     )
+
+
+def _abel_plan(k, gap, tol):
+    """(M, p) for the unit circle at |1-z| = gap: p <= 12 Abel corrections
+    and the fewest summed terms M that bring the remainder bound below tol,
+    the smaller p on a tie.  M is one above the root of the bound, so that
+    rounding in the root cannot undercount; ``_abel_tail`` checks the bound
+    exactly."""
+    plans = []
+    for p in range(1, 13):
+        rising = math.prod(range(k, k + p - 1))
+        root = (math.log(rising / tol) - p * math.log(gap)) / (k + p - 1)
+        # past exp(700) no plan is within max_terms; exp overflows at 709.8
+        plans.append((max(1, math.ceil(math.exp(min(root, 700.0)))), p))
+    return min(plans)
+
+
+def _abel_tail(k, z, M, p, tol):
+    """sum_{m>M} z^m/m^k up to the remainder R, by summation by parts p
+    times: with b_m = m^-k and the backward difference nabla,
+
+        sum_{j<p} z^(M+1+j) (nabla^j b)_(M+1+j) / (1-z)^(j+1),
+
+    each difference exact in rationals and rounded once.  b is completely
+    monotone, so |R| <= k(k+1)...(k+p-2) / ((M+1)^(k+p-1)·|1-z|^p); that
+    bound is checked in exact arithmetic and ConvergenceError raised if it
+    exceeds tol."""
+    gap = abs(1 - z)
+    rising = math.prod(range(k, k + p - 1))
+    if rising > Fraction(tol) * (M + 1) ** (k + p - 1) * Fraction(gap) ** p:
+        raise ConvergenceError(
+            f"Abel remainder bound above {tol} at {M} terms, {p} corrections"
+        )
+    tail = 0j
+    for j in range(p):
+        n = M + 1 + j
+        nabla = sum(
+            Fraction((-1) ** i * math.comb(j, i), (n - i) ** k) for i in range(j + 1)
+        )
+        tail += z**n * float(nabla) / (1 - z) ** (j + 1)
+    return tail
 
 
 # ---------------------------------------------------------------------------

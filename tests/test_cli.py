@@ -271,3 +271,17 @@ def test_refused_engine_parameter_exits_2():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "need n >= 2" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("congruence", "--q", "6"), "q = 6 is not a prime power"),
+        (("pushforward", "--ell", "4"), "ell = 4 is not a prime"),
+    ],
+)
+def test_refused_measure_parameter_exits_2(args, message):
+    proc = run_cli("measures", *args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert message in proc.stderr

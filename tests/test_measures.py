@@ -2,20 +2,25 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polydist import measures
+from polydist.lie import bernoulli_poly_eval
 from polydist.measures import (
     FiniteMeasure,
     MeasureError,
     bernoulli_congruence_check,
     moment_exact,
+    power_sums,
     pushforward_mul,
     random_measure,
     translate_chi,
     verify_measure_pushforward,
 )
+from polydist.report import ParameterError, VerificationReport, timed
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=8)
 
@@ -75,6 +80,18 @@ def test_moment_exact_matches_fraction_oracle(mu, k):
     assert got == _moment_exact_oracle(mu, k)
     with pytest.raises(MeasureError):
         moment_exact(mu, 0)
+
+
+@given(small_measures(), st.integers(1, 8))
+@settings(max_examples=120, deadline=None)
+def test_power_sums_are_the_cleared_moments_of_every_depth(mu, depth):
+    sums = power_sums(mu, depth)
+    assert len(sums) == depth
+    q = mu.offset.denominator
+    for k, total in enumerate(sums, start=1):
+        assert type(total) is int
+        assert total == moment_exact(mu, k) * q ** (k - 1)
+        assert total == _moment_exact_oracle(mu, k) * q ** (k - 1)
 
 
 def test_pushforward_by_hand():
@@ -162,12 +179,205 @@ def test_bernoulli_congruence_frozen_value():
 
 
 def test_bernoulli_congruence_rejects_bad_input():
-    with pytest.raises(MeasureError):
+    with pytest.raises(ParameterError):
         bernoulli_congruence_check(10, 3)  # 10 is not a prime power
-    with pytest.raises(MeasureError):
+    with pytest.raises(ParameterError):
         bernoulli_congruence_check(9, 4)  # even c
-    with pytest.raises(MeasureError):
+    with pytest.raises(ParameterError):
         bernoulli_congruence_check(9, 3)  # gcd(3, 18) > 1
+
+
+@pytest.mark.parametrize(
+    "ell, m, n, depth",
+    [(4, 2, 2, 6), (1, 2, 2, 6), (3, 2, 0, 6), (3, 2, 2, 0), (3, 0, 3, 6), (2, 1, 4, 6)],
+)
+def test_verify_pushforward_refuses_parameters_before_any_work(
+    monkeypatch, ell, m, n, depth
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a measure was drawn")
+
+    monkeypatch.setattr(measures, "random_measure", no_work)
+    with pytest.raises(ParameterError):
+        verify_measure_pushforward(ell, m, n, trials=3, depth=depth)
+
+
+def _bernoulli_congruence_oracle(q, c):
+    """The congruence report with every B2 value a Fraction from
+    ``bernoulli_poly_eval``, as the engine computed it before its sums moved
+    to integers over one common denominator."""
+    report = VerificationReport("bernoulli-congruence", {"q": q, "c": c})
+    with timed(report):
+        cinv = pow(c, -1, 2 * q)
+
+        def frac_part(x):
+            return x - (x.numerator // x.denominator)
+
+        def b2(x):
+            return bernoulli_poly_eval(2, frac_part(Fraction(x)))
+
+        total = Fraction(0)
+        for b in range(q):
+            total += Fraction(q, 2) * (
+                c * c * b2(Fraction(1 + 2 * cinv * b, 2 * q))
+                - b2(Fraction(2 * b + c, 2 * q))
+            )
+        target = Fraction(c * c - 1, 2) * bernoulli_poly_eval(2, Fraction(1, 2))
+        diff = total - target
+        member = (diff * Fraction(48, q)).denominator == 1
+        report.add(
+            "difference-in-lattice",
+            member,
+            f"T - target = {diff}, target lattice (q/48)Z",
+        )
+        report.add_residual(kind="observed-difference", value=str(diff))
+        odd_sum = sum(b2(Fraction(rr, 2 * q)) for rr in range(1, 2 * q, 2))
+        s1 = sum(b2(Fraction(1 + 2 * cinv * b, 2 * q)) for b in range(q))
+        s2 = sum(b2(Fraction(2 * b + c, 2 * q)) for b in range(q))
+        report.add(
+            "index-bijections-telescope",
+            s1 == odd_sum == s2 == Fraction(-1, 12 * q),
+            "both weighted index families sweep the odd residues",
+        )
+
+        def fold(mm):
+            return mm % (2 * q)
+
+        ok_pair = all(
+            fold(mm) + fold(-mm) == 2 * q
+            for mm in list(range(1, 2 * q)) + [2 * q + 3, 6 * q + 1, -7]
+            if fold(mm) != 0
+        )
+        report.add("folding-pairing", ok_pair, "<m> + <-m> = 2q off the kernel")
+    return report
+
+
+def _without_ms(report):
+    out = report.to_json_dict()
+    del out["ms"]
+    return out
+
+
+def _checks(report):
+    return [(c.name, c.ok, c.detail) for c in report.checks]
+
+
+@pytest.mark.parametrize("q", [8, 9, 16, 27, 25, 32, 49, 81])
+def test_bernoulli_congruence_matches_fraction_oracle(q):
+    # q = 8, 9, 16, 27 with every unit c are the 48 reports of measures --all
+    for c in range(1, 2 * q, 2):
+        if gcd(c, 2 * q) == 1:
+            got = bernoulli_congruence_check(q, c)
+            want = _bernoulli_congruence_oracle(q, c)
+            assert _without_ms(got) == _without_ms(want)
+            assert _checks(got) == _checks(want)
+
+
+def _pushforward_oracle(ell, m, n, trials=100, seed=0, depth=6):
+    """The push-forward report with every moment a ``moment_exact`` Fraction,
+    one call per depth, as the engine computed it before the integer power
+    sums; measures come through the module, so a patched push-forward
+    reaches this route too."""
+    report = VerificationReport(
+        "measure-pushforward",
+        {"ell": ell, "m": m, "n": n, "trials": trials, "seed": seed, "depth": depth},
+    )
+    with timed(report):
+        m_new = m - measures.padic_valuation(n, ell)
+        modulus = ell**m_new
+        rng = random.Random(seed)
+        ok_branch = ok_sum = ok_mass = True
+        first_bad = None
+        for trial in range(trials):
+            branches = [
+                random_measure(ell, m, Fraction(s, n), rng) for s in range(n)
+            ]
+            pushed = [measures.pushforward_mul(mu, n) for mu in branches]
+            total = pushed[0]
+            for p in pushed[1:]:
+                total = total.add(p)
+            if total.mass() != sum(mu.mass() for mu in branches):
+                ok_mass = False
+            for k in range(1, depth + 1):
+                rhs_all = Fraction(0)
+                for mu, p in zip(branches, pushed):
+                    lhs = moment_exact(p, k)
+                    rhs = Fraction(n) ** (k - 1) * moment_exact(mu, k)
+                    rhs_all += rhs
+                    diff = lhs - rhs
+                    if diff.denominator != 1 or diff.numerator % modulus:
+                        ok_branch = False
+                        if first_bad is None:
+                            first_bad = (trial, k)
+                diff = moment_exact(total, k) - rhs_all
+                if diff.denominator != 1 or diff.numerator % modulus:
+                    ok_sum = False
+        report.add(
+            "branch-moment-scaling",
+            ok_branch,
+            f"moments scale by n^(k-1) mod ell^{m_new} for k <= {depth}; "
+            f"{trials} seeded trials"
+            + (f"; first failure {first_bad}" if first_bad else ""),
+        )
+        report.add(
+            "summed-moment-distribution",
+            ok_sum,
+            "branch-summed push-forward satisfies the same congruences",
+        )
+        report.add("mass-preserved", ok_mass, "total mass is preserved")
+        mu = random_measure(ell, m, Fraction(0), rng)
+        vals = list(mu.values)
+        vals[rng.randrange(len(vals))] += 1
+        corrupted = FiniteMeasure(ell, m, Fraction(0), tuple(vals))
+        detected = False
+        for k in range(1, depth + 1):
+            diff = moment_exact(
+                measures.pushforward_mul(corrupted, n), k
+            ) - Fraction(n) ** (k - 1) * moment_exact(mu, k)
+            if diff.denominator != 1 or diff.numerator % modulus:
+                detected = True
+        report.add(
+            "corruption-detected",
+            detected,
+            "a single-mass corruption breaks at least one congruence",
+        )
+    return report
+
+
+MEASURES_ALL = [(3, 3, 2), (3, 2, 3), (2, 4, 2), (5, 2, 2)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 20171109])
+@pytest.mark.parametrize("ell, m, n", MEASURES_ALL)
+def test_verify_pushforward_matches_fraction_oracle(ell, m, n, seed):
+    got = verify_measure_pushforward(ell, m, n, trials=100, seed=seed)
+    want = _pushforward_oracle(ell, m, n, trials=100, seed=seed)
+    assert got.ok
+    assert _without_ms(got) == _without_ms(want)
+    assert _checks(got) == _checks(want)
+
+
+@pytest.mark.parametrize("ell, m, n", MEASURES_ALL)
+def test_verify_pushforward_detects_a_corrupted_pushforward(monkeypatch, ell, m, n):
+    """A push-forward that moves one unit of mass off its image point breaks
+    the moment congruences, and both routes say so in the same words."""
+    honest = measures.pushforward_mul
+
+    def shifted(mu, n):
+        nu = honest(mu, n)
+        values = list(nu.values)
+        values[0] -= 1
+        values[-1] += 1
+        return FiniteMeasure(nu.ell, nu.m, nu.offset, tuple(values))
+
+    monkeypatch.setattr(measures, "pushforward_mul", shifted)
+    got = verify_measure_pushforward(ell, m, n, trials=5, seed=3)
+    want = _pushforward_oracle(ell, m, n, trials=5, seed=3)
+    failed = [c.name for c in got.failures()]
+    assert "branch-moment-scaling" in failed
+    assert "first failure (0, 2)" in got.checks[0].detail
+    assert _without_ms(got) == _without_ms(want)
+    assert _checks(got) == _checks(want)
 
 
 def test_random_measure_respects_seed():

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from numpy.polynomial import legendre as npleg
 
 from polydist import polylog_num
@@ -57,6 +57,46 @@ def _integral_from_oracle(eps, word, z, zeta, nodes):
             start = start + scale * npleg.legval(1.0, anti)
         level_vals = new_vals
     return start
+
+
+# Reference route for the unit circle: direct summation of the series up to
+# the Abel bound 4/(|1-z|·M^k), before the tail became exact corrections.
+def _li_classical_direct(k, z, tol=1e-12, max_terms=8_000_000):
+    z = complex(z)
+    az = abs(z)
+    if az > 1 + 1e-15:
+        raise ConvergenceError("classical series needs |z| <= 1")
+    if z == 1 and k < 3:
+        if k == 1:
+            raise DivergentWordError("depth-1 value at z = 1 diverges")
+        raise ConvergenceError(
+            "depth-2 at z = 1 is out of certified reach of direct summation"
+        )
+    if az < 1:
+        if az == 0:
+            return 0j
+        terms = int(math.ceil(math.log(tol * (1 - az)) / math.log(az))) + 1
+    elif z == 1:
+        terms = int(math.ceil((1.0 / (tol * (k - 1))) ** (1.0 / (k - 1)))) + 1
+    else:
+        if k < 2:
+            raise ConvergenceError("need k >= 2 on the unit circle")
+        bound = 4.0 / abs(1 - z)
+        terms = int(math.ceil((bound / tol) ** (1.0 / k))) + 1
+    if terms > max_terms:
+        raise ConvergenceError(
+            f"would need {terms} terms (> max_terms={max_terms})"
+        )
+    chunk = 1 << 16  # a few full-size complex temporaries per chunk
+    partials = []
+    for start in range(1, terms + 1, chunk):
+        stop = min(start + chunk, terms + 1)
+        m = np.arange(start, stop, dtype=float)
+        vals = np.power(z, np.arange(start, stop)) / m**k
+        partials.append(complex(np.sum(vals)))
+    return complex(
+        math.fsum(p.real for p in partials), math.fsum(p.imag for p in partials)
+    )
 
 
 @st.composite
@@ -137,20 +177,53 @@ def test_li_classical_boundary_domains():
     catalan = 0.915965594177219015
     want = -(math.pi**2) / 48 + 1j * catalan
     assert abs(got - want) < 1e-9
+    # zeta(3) by direct summation: 0.71 M terms, so the sum runs over
+    # several chunks of the evaluator; the integral bound is sharp at z = 1,
+    # so rounding may add a few ulps to the truncation error
+    assert abs(li_classical(3, 1.0, tol=1e-12) - 1.2020569031595942) < 1e-12 + 1e-14
 
 
 @pytest.mark.parametrize(
     "theta, tol",
     [(t, 1e-10) for t in (0.5, math.pi / 3, 2.0, math.pi, 4.0, 6.0)]
-    + [(t, 1e-12) for t in (math.pi / 3, math.pi)],
+    + [(t, 1e-12) for t in (math.pi / 3, math.pi, 1e-3, 2 * math.pi - 1e-3)],
 )
 def test_li_classical_on_the_unit_circle_matches_the_closed_form(theta, tol):
     # Re Li_2(e^{i theta}) = pi^2/6 - pi theta/2 + theta^2/4 on (0, 2 pi).
-    # The Abel bound asks for 0.14 M to 2 M terms here, so each sum runs
-    # over several chunks of the evaluator.
+    # At theta = 1e-3 and 2 pi - 1e-3 direct summation would need 63 M
+    # terms, past max_terms; with the Abel corrections 23 k terms suffice.
     got = li_classical(2, cmath.exp(1j * theta), tol=tol)
     want = math.pi**2 / 6 - math.pi * theta / 2 + theta**2 / 4
     assert abs(got.real - want) < tol
+
+
+@given(st.integers(2, 5), st.floats(0.3, 2 * math.pi - 0.3))
+@settings(max_examples=30, deadline=None)
+def test_li_classical_on_the_unit_circle_matches_direct_summation(k, theta):
+    z = cmath.exp(1j * theta)
+    # where e^(i theta) rounds to |z| < 1, direct summation takes the
+    # geometric route and refuses (see the next test)
+    assume(abs(z) >= 1)
+    got = li_classical(k, z, tol=1e-10)
+    assert abs(got - _li_classical_direct(k, z, tol=1e-10)) <= 2e-10
+
+
+def test_li_classical_takes_a_modulus_rounded_below_one_as_the_unit_circle():
+    theta = math.pi / 3
+    z = cmath.exp(1j * theta) * (1 - 2.0**-52)
+    assert abs(z) < 1
+    with pytest.raises(ConvergenceError):
+        _li_classical_direct(2, z, tol=1e-12)
+    got = li_classical(2, z, tol=1e-12)
+    want = math.pi**2 / 6 - math.pi * theta / 2 + theta**2 / 4
+    assert abs(got.real - want) < 1e-12
+
+
+def test_li_classical_on_the_unit_circle_refuses_past_max_terms():
+    z = cmath.exp(1e-3j)
+    assert li_classical(2, z, tol=1e-12, max_terms=30_000)
+    with pytest.raises(ConvergenceError, match="max_terms"):
+        li_classical(2, z, tol=1e-12, max_terms=20_000)
 
 
 def test_kubert_identity_for_classical_li():
