@@ -9,12 +9,16 @@ Usage examples:
     polydist measures congruence --q 16
     polydist numeric distribution --r 1 --n 2 --z 0.4,0.1
     polydist numeric --all
+    polydist verify --all --profile verify.prof
 
 One JSON object per report is written to stdout (and to --out if given).
+``--profile FILE`` also writes ``cProfile`` statistics of the run to FILE,
+which ``pstats.Stats(FILE)`` loads; only a serial run can be profiled.
 Exit status is 0 iff every report passes and 1 if a check fails.  Invalid
-usage exits 2 with no report: that includes --word together with --all, a
-parameter an engine refuses (``ParameterError``) and a degree above the
-cap that the environment variable POLYDIST_MAX_DEGREE sets.  An engine
+usage exits 2 with no report: that includes --word together with --all,
+--profile together with --jobs above 1, a parameter an engine refuses
+(``ParameterError``) and a degree above the cap that the environment
+variable POLYDIST_MAX_DEGREE sets.  An engine
 that raises any other exception gets, in place of its report, a line
 ``{"statement", "params", "status": "error", "error": {"type", "message"}}``
 with the task's name as ``statement``; the other reports are kept, and the
@@ -105,6 +109,9 @@ def _verify_tasks(args):
         # entries added after the recorded matrix go last, so every
         # earlier report keeps its place in the output
         add("bch", degree=degree or 9, candidate=args.candidate)
+        add("bch", degree=degree or 10, candidate=args.candidate)
+        add("inhomogeneous", n=4, depth=depth or 6)
+        add("inhomogeneous", n=2, depth=depth or 10)
     return tasks
 
 
@@ -245,6 +252,8 @@ def build_parser():
                        help="word in text form, repeatable")
         p.add_argument("--out", default=None, help="also write ND-JSON here")
         p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--profile", default=None, metavar="FILE",
+                       help="write cProfile stats of the serial run to FILE")
 
     common(sub.add_parser("verify", help="symbolic engines"), VERIFY_SELECTORS)
     common(sub.add_parser("measures", help="finite-level measures"), MEASURE_SELECTORS)
@@ -260,6 +269,9 @@ def main(argv=None):
     if args.all and args.word:
         # the --all matrix mixes levels, so no one word fits all its tasks
         parser.error("--word cannot be combined with --all; name a selector")
+    if args.profile and args.jobs > 1:
+        # the workers' time would escape a profiler in this process
+        parser.error("--profile cannot be combined with --jobs above 1")
 
     if args.command == "verify":
         tasks = _verify_tasks(args)
@@ -274,6 +286,12 @@ def main(argv=None):
         if args.jobs and args.jobs > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 reports = list(pool.map(_run_or_error, tasks))
+        elif args.profile:
+            import cProfile
+
+            profiler = cProfile.Profile()
+            reports = profiler.runcall(list, map(_run_or_error, tasks))
+            profiler.dump_stats(args.profile)
         else:
             reports = [_run_or_error(t) for t in tasks]
     except ParameterError as exc:

@@ -15,17 +15,17 @@ ring.  ``lincomb(pairs)`` is the one way to sum coefficients: it returns
 the sum of q·p over ``(p, q)`` pairs, p in the ring and q rational, in one
 pass instead of a fold of ``+`` that copies every partial sum.
 
-Polynomial products and ``PolyRing.lincomb`` work in Python ints: each
-operand is put over the lcm of its term denominators, the integer
-numerators are accumulated per monomial, and one ``Fraction`` (one gcd) is
-built per output term from the sum and the common denominator, instead of
-a normalised ``Fraction`` per pair of terms.
+A polynomial keeps integer numerators over one positive denominator in
+lowest terms, so its arithmetic is integer work: a product convolves the
+numerators over the product of the denominators, a sum or ``lincomb``
+rescales each operand by lcm // den, and one gcd pass reduces the result.
+``Fraction`` appears only at the boundary (``terms``, printing).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 class RingMismatchError(ValueError):
@@ -105,34 +105,31 @@ class PolyRing:
 
     @property
     def zero(self):
-        return SymbolicPoly(self, {})
+        return _poly(self, {}, 1)
 
     @property
     def one(self):
-        return SymbolicPoly(self, {(): Fraction(1)})
-
-    def from_int(self, n):
-        return self.from_fraction(Fraction(n))
+        return _poly(self, {(): 1}, 1)
 
     def from_fraction(self, q):
         q = _as_fraction(q)
-        return SymbolicPoly(self, {(): q} if q else {})
+        return _poly(self, {(): q.numerator}, q.denominator)
+
+    from_int = from_fraction
 
     def sym(self, name):
         try:
             i = self.index[name]
         except KeyError:
             raise UnknownSymbolError(f"symbol {name!r} not registered") from None
-        return SymbolicPoly(self, {((i, 1),): Fraction(1)})
+        return _poly(self, {((i, 1),): 1}, 1)
 
-    def monomial(self, exps, coeff=Fraction(1)):
+    def monomial(self, exps, coeff=1):
         coeff = _as_fraction(coeff)
-        if not coeff:
-            return self.zero
-        return SymbolicPoly(self, {tuple(exps): coeff})
+        return _poly(self, {tuple(exps): coeff.numerator}, coeff.denominator)
 
     def is_zero(self, a):
-        return not a.terms
+        return not a.nums
 
     def coerce(self, x):
         if isinstance(x, SymbolicPoly):
@@ -140,7 +137,7 @@ class PolyRing:
                 raise RingMismatchError("polynomial from a different ring")
             return x
         if isinstance(x, (int, Fraction)):
-            return self.from_fraction(Fraction(x))
+            return self.from_fraction(x)
         raise RingMismatchError(f"cannot coerce {x!r} into {self!r}")
 
     def lincomb(self, pairs):
@@ -149,15 +146,15 @@ class PolyRing:
         scaled = []
         for p, q in pairs:
             if q:
-                nums, d = _integer_terms(self.coerce(p).terms)
-                scaled.append((nums, q.numerator, q.denominator * d))
+                p = self.coerce(p)
+                scaled.append((p.nums, q.numerator, q.denominator * p.den))
         den = lcm(*[d for _, _, d in scaled])
         acc = {}
         for nums, qn, d in scaled:
             f = qn * (den // d)
-            for m, a in nums:
+            for m, a in nums.items():
                 acc[m] = acc.get(m, 0) + f * a
-        return SymbolicPoly(self, {m: Fraction(v, den) for m, v in acc.items() if v})
+        return _poly(self, acc, den)
 
     def __repr__(self):
         shown = ",".join(self.gens[:4]) + (",..." if len(self.gens) > 4 else "")
@@ -178,17 +175,25 @@ def _term_key(exps):
 
 
 class SymbolicPoly:
-    """Sparse polynomial: dict mapping ((gen_index, exp), ...) -> Fraction.
+    """Sparse polynomial sum(nums[m]·m) / den with int numerators.
 
-    Exponent tuples are sorted by generator index and contain no zero
-    exponents; zero coefficients are pruned on construction.
+    A monomial m is a tuple ((gen_index, exp), ...) sorted by generator
+    index with no zero exponents.  The form is canonical: no numerator is
+    zero, den > 0, gcd(den, *nums) == 1 and the zero polynomial has den 1.
+    ``SymbolicPoly(ring, terms)`` builds one from ``{monomial: Fraction}``.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "nums", "den")
 
     def __init__(self, ring, terms):
-        self.ring = ring
-        self.terms = {m: c for m, c in terms.items() if c}
+        den = lcm(*[c.denominator for c in terms.values()])
+        _poly(ring, {m: c.numerator * (den // c.denominator)
+                     for m, c in terms.items()}, den, self)
+
+    @property
+    def terms(self):
+        """The coefficients as a fresh ``{monomial: Fraction}`` dict."""
+        return {m: Fraction(a, self.den) for m, a in self.nums.items()}
 
     # -- helpers ------------------------------------------------------
 
@@ -198,61 +203,51 @@ class SymbolicPoly:
                 return other
             raise RingMismatchError("polynomials from different rings")
         if isinstance(other, (int, Fraction)):
-            return self.ring.from_fraction(Fraction(other))
+            return self.ring.from_fraction(other)
         return None
 
     def is_zero(self):
-        return not self.terms
+        return not self.nums
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     # -- arithmetic ----------------------------------------------------
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
+        # self + sign·other over the lcm of the two denominators
         other = self._check(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m)
-            s = c if s is None else s + c
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
-        return SymbolicPoly(self.ring, terms)
+        den = lcm(self.den, other.den)
+        f, g = den // self.den, sign * (den // other.den)
+        nums = {m: f * a for m, a in self.nums.items()}
+        for m, b in other.nums.items():
+            nums[m] = nums.get(m, 0) + g * b
+        return _poly(self.ring, nums, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SymbolicPoly(self.ring, {m: -c for m, c in self.terms.items()})
+        return _poly(self.ring, {m: -a for m, a in self.nums.items()}, self.den)
 
     def __sub__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         other = self._check(other)
         if other is None:
             return NotImplemented
-        nums1, d1 = _integer_terms(self.terms)
-        nums2, d2 = _integer_terms(other.terms)
+        nums2 = other.nums.items()
         acc = {}
-        for m1, a in nums1:
+        for m1, a in self.nums.items():
             for m2, b in nums2:
                 m = _mul_monomials(m1, m2)
                 acc[m] = acc.get(m, 0) + a * b
-        d = d1 * d2
-        return SymbolicPoly(self.ring, {m: Fraction(v, d) for m, v in acc.items() if v})
+        return _poly(self.ring, acc, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -270,13 +265,15 @@ class SymbolicPoly:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self.ring.from_fraction(Fraction(other))
+            other = self.ring.from_fraction(other)
         if not isinstance(other, SymbolicPoly):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return self.ring == other.ring and (
+            self.den == other.den and self.nums == other.nums
+        )
 
     def __hash__(self):
-        return hash((self.ring, tuple(sorted(self.terms.items()))))
+        return hash((self.ring, self.den, frozenset(self.nums.items())))
 
     # -- structure -----------------------------------------------------
 
@@ -303,10 +300,7 @@ class SymbolicPoly:
 
     def symbols(self):
         """Sorted names of the generators actually occurring."""
-        seen = set()
-        for m in self.terms:
-            for i, _ in m:
-                seen.add(i)
+        seen = {i for m in self.nums for i, _ in m}
         return [self.ring.gens[i] for i in sorted(seen)]
 
     def coefficient_of(self, name):
@@ -318,20 +312,19 @@ class SymbolicPoly:
         if name not in self.ring.index:
             raise UnknownSymbolError(f"symbol {name!r} not registered")
         idx = self.ring.index[name]
-        terms = {}
-        for m, c in self.terms.items():
+        nums = {}
+        for m, a in self.nums.items():
             rest = tuple((i, e) for i, e in m if i != idx)
             hit = [e for i, e in m if i == idx]
             if hit == [1]:
-                terms[rest] = terms.get(rest, Fraction(0)) + c
-        return SymbolicPoly(self.ring, terms)
+                nums[rest] = nums.get(rest, 0) + a
+        return _poly(self.ring, nums, self.den)
 
     def __str__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
         parts = []
-        for m in sorted(self.terms, key=_term_key):
-            c = self.terms[m]
+        for m, c in sorted(self.terms.items(), key=lambda t: _term_key(t[0])):
             names = "*".join(
                 f"{self.ring.gens[i]}^{e}" if e > 1 else self.ring.gens[i]
                 for i, e in m
@@ -350,11 +343,18 @@ class SymbolicPoly:
     __repr__ = __str__
 
 
-def _integer_terms(terms):
-    """``([(monomial, numerator), ...], d)``: the terms over d, the lcm of
-    their denominators."""
-    d = lcm(*[c.denominator for c in terms.values()])
-    return [(m, c.numerator * (d // c.denominator)) for m, c in terms.items()], d
+def _poly(ring, nums, den, p=None):
+    """sum(nums[m]·m)/den, den > 0, in lowest terms (stored in ``p`` if given)."""
+    nums = {m: a for m, a in nums.items() if a}
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {m: a // g for m, a in nums.items()}
+            den //= g
+    if p is None:
+        p = object.__new__(SymbolicPoly)
+    p.ring, p.nums, p.den = ring, nums, den
+    return p
 
 
 def _mul_monomials(m1, m2):
@@ -366,4 +366,3 @@ def _mul_monomials(m1, m2):
     for i, e in m2:
         exps[i] = exps.get(i, 0) + e
     return tuple(sorted(exps.items()))
-

@@ -39,8 +39,10 @@ def scrubbed(reports):
 # with the prefix-shared word images; bch-closed-form at degree 8 (line 10),
 # inhomogeneous and homogeneous n = 2, 3 at depth 8 (lines 14-15 and 18-19)
 # with the quotient products that skip pairs landing in the ideal;
-# bch-closed-form at degree 9 (line 80, the last task of the matrix) with
-# the integer accumulation of polynomial products.
+# bch-closed-form at degree 9 (line 80) with the integer accumulation of
+# polynomial products; bch-closed-form at degree 10 and inhomogeneous n = 4
+# at depth 6 and n = 2 at depth 10 (lines 81-83, the last tasks of the
+# matrix) with polynomials stored as integer numerators over one denominator.
 GOLDEN_VERIFY_ALL = [
     json.loads(line)
     for line in (Path(__file__).parent / "data" / "verify_all.jsonl")
@@ -144,6 +146,32 @@ def test_word_with_all_exits_2(command):
     assert "--all" in message and "--word" in message
 
 
+@pytest.mark.parametrize("command, selector", [
+    ("verify", "conversions"), ("measures", "congruence"), ("numeric", "classical"),
+])
+def test_profile_writes_stats_of_the_serial_run(tmp_path, command, selector):
+    import pstats
+
+    path = tmp_path / "run.prof"
+    plain = run_cli(command, selector)
+    proc = run_cli(command, selector, "--profile", str(path))
+    assert proc.returncode == 0
+    assert scrubbed(reports_of(proc)) == scrubbed(reports_of(plain))
+    functions = {name for _, _, name in pstats.Stats(str(path)).stats}
+    assert "_run_or_error" in functions
+
+
+@pytest.mark.parametrize("command", ["verify", "measures", "numeric"])
+def test_profile_with_jobs_exits_2(tmp_path, command):
+    path = tmp_path / "run.prof"
+    proc = run_cli(command, "--all", "--jobs", "2", "--profile", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert not path.exists()
+    message = proc.stderr.strip().splitlines()[-1]  # below the usage lines
+    assert "--profile" in message and "--jobs" in message
+
+
 @pytest.mark.slow
 def test_verify_all_matrix():
     proc = run_cli("verify", "--all", "--jobs", "4")
@@ -224,13 +252,15 @@ def test_lie_matrix_entries_keep_their_own_degree_or_depth():
         ("inhomogeneous", 2, 8), ("inhomogeneous", 3, 8),
         ("homogeneous", 2, 6), ("homogeneous", 3, 6),
         ("homogeneous", 2, 8), ("homogeneous", 3, 8),
-        ("bch", None, 9),
+        ("bch", None, 9), ("bch", None, 10),
+        ("inhomogeneous", 4, 6), ("inhomogeneous", 2, 10),
     ]
     # one --degree and one --depth for the whole matrix run each entry once
     assert lie("--all", "--degree", "5", "--depth", "4") == [
         ("bch", None, 5), ("conversions", None, 4),
         ("inhomogeneous", 2, 4), ("inhomogeneous", 3, 4),
         ("homogeneous", 2, 4), ("homogeneous", 3, 4),
+        ("inhomogeneous", 4, 4),
     ]
     assert lie("bch-closed-form") == [("bch", None, 6)]
     assert lie("inhomogeneous", "--n", "3") == [("inhomogeneous", 3, 6)]

@@ -1,14 +1,16 @@
-"""Integer-accumulated polynomial arithmetic against the route it replaced.
+"""Integer polynomial arithmetic against the route it replaced.
 
-``SymbolicPoly.__mul__`` and ``PolyRing.lincomb`` sum integer numerators
-over a common denominator and build one ``Fraction`` per output term, and
+A ``SymbolicPoly`` keeps integer numerators over one denominator in lowest
+terms, so sums, products and ``PolyRing.lincomb`` are integer work, and
 ``NCSeries.scale`` by a rational goes through ``lincomb``.  The oracles
 below are the old bodies, which combined ``Fraction``s pair by pair (and
-scaled a series through a product with a constant polynomial).
+scaled a series through a product with a constant polynomial); the
+properties at the end check that every result is in the canonical form.
 """
 
 from contextlib import ExitStack
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -158,3 +160,47 @@ def test_bch_mod_iy_matches_the_fraction_route(case):
             stack.enter_context(patch)
         want = bch(s, t, which=MOD_IY)
     assert got == want
+
+
+def _assert_canonical(p):
+    assert p.den > 0
+    assert gcd(p.den, *p.nums.values()) == 1
+    assert all(p.nums.values())
+    if not p.nums:
+        assert p.den == 1
+
+
+@given(operands, operands, rationals, st.lists(st.tuples(operands, rationals)))
+@settings(max_examples=150, deadline=None)
+def test_every_result_is_in_lowest_terms(p, q, c, pairs):
+    for r in (p, p * q, p + q, p - q, -p, p - p, p * c, c - p, RING.lincomb(pairs)):
+        _assert_canonical(r)
+    _assert_canonical(p.substitute({"a": c, "b": q}))
+    series = NCSeries(RING, 1, FLAVORS[0], 3, {Word(1, FLAVORS[0], (0,)): p})
+    for v in series.scale(c).coeffs.values():
+        _assert_canonical(v)
+
+
+@given(operands, operands)
+@settings(max_examples=150, deadline=None)
+def test_equal_polynomials_hash_alike_across_construction_routes(p, q):
+    built = SymbolicPoly(RING, (p * q).terms)  # the Fraction constructor
+    assert built == p * q == q * p
+    assert hash(built) == hash(p * q) == hash(q * p)
+    assert hash(p + q - q) == hash(p)
+    assert hash(RING.lincomb([(p, 1), (q, 1)])) == hash(p + q)
+    assert hash(p - p) == hash(RING.zero) == hash(SymbolicPoly(RING, {}))
+
+
+@given(rationals, st.integers(-(10**20), 10**20), polys)
+@settings(max_examples=150, deadline=None)
+def test_comparison_with_fractions_and_ints(c, n, p):
+    assert RING.from_fraction(c) == c
+    assert RING.from_fraction(c) != c + Fraction(1, 3)
+    assert RING.from_int(n) == n and n == RING.from_int(n)
+    assert RING.from_int(n) != n + 1
+    assert (RING.zero == 0) and not (RING.sym("a") == 0)
+    # a polynomial equals a number exactly when it is that constant
+    constant = set(p.terms) <= {()}
+    value = p.terms.get((), Fraction(0))
+    assert (p == value) == constant

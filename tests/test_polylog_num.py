@@ -226,6 +226,47 @@ def test_li_classical_on_the_unit_circle_refuses_past_max_terms():
         li_classical(2, z, tol=1e-12, max_terms=20_000)
 
 
+@pytest.mark.parametrize("k, theta", [(1, 0.3), (2, 1.0), (3, 2.5)])
+def test_li_classical_inside_the_disk_abel_matches_direct_summation(k, theta):
+    # at |z| = 1 - 1e-4 the geometric bound sums about 3e5 terms, the Abel
+    # plan about 100: both routes must agree within their tolerances
+    z = (1 - 1e-4) * cmath.exp(1j * theta)
+    with mock.patch.object(
+        polylog_num, "_abel_tail", wraps=polylog_num._abel_tail
+    ) as tail:
+        got = li_classical(k, z, tol=1e-10)
+    assert tail.call_count == 1
+    assert abs(got - _li_classical_direct(k, z, tol=1e-10)) <= 2e-10
+    if k == 1:
+        assert abs(got + cmath.log(1 - z)) <= 1e-10
+
+
+def test_li_classical_certifies_just_inside_the_unit_circle():
+    # the geometric bound would need 41,446,512 terms here
+    z = (1 - 1e-6) * cmath.exp(1j)
+    with pytest.raises(ConvergenceError, match="41446512 terms"):
+        _li_classical_direct(2, z, tol=1e-12)
+    assert abs(li_classical(1, z) + cmath.log(1 - z)) < 1e-12
+    # the distribution relation Li_2(z^2) = 2 (Li_2(z) + Li_2(-z))
+    lhs = li_classical(2, z * z)
+    assert abs(lhs - 2 * (li_classical(2, z) + li_classical(2, -z))) < 1e-11
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12, 1e-13, 1e-15])
+def test_li_classical_keeps_the_geometric_route_up_to_modulus_0_81(tol):
+    with mock.patch.object(
+        polylog_num, "_abel_plan", wraps=polylog_num._abel_plan
+    ) as plan:
+        for k in range(1, 6):
+            for r in (0.1, 0.5, 0.7, 0.81):
+                for theta in (0.0, 0.5, 2.0, math.pi):
+                    z = r * cmath.exp(1j * theta)
+                    assert li_classical(k, z, tol=tol) == _li_classical_direct(
+                        k, z, tol=tol
+                    )
+    assert plan.call_count == 0
+
+
 def test_kubert_identity_for_classical_li():
     # Li_k(z^2) = 2^(k-1) (Li_k(z) + Li_k(-z))
     for k in (1, 2, 3):
