@@ -16,10 +16,12 @@ One JSON object per report is written to stdout (and to --out if given).
 which ``pstats.Stats(FILE)`` loads; only a serial run can be profiled.
 Exit status is 0 iff every report passes and 1 if a check fails.  Invalid
 usage exits 2 with no report: that includes --word together with --all,
---profile together with --jobs above 1, a parameter an engine refuses
-(``ParameterError``) and a degree above the cap that the environment
-variable POLYDIST_MAX_DEGREE sets.  An engine
-that raises any other exception gets, in place of its report, a line
+--profile together with --jobs above 1, a --tol not above 0, a parameter an
+engine refuses (``ParameterError``: a degree, depth, --k-max or --trials
+below 1, since a flag given as 0 is passed on, not replaced by its default)
+and a degree above the cap that the environment variable POLYDIST_MAX_DEGREE
+sets.  An engine that raises any other exception gets, in place of its
+report, a line
 ``{"statement", "params", "status": "error", "error": {"type", "message"}}``
 with the task's name as ``statement``; the other reports are kept, and the
 run exits 3.
@@ -36,17 +38,6 @@ from . import distrib, measures, polylog_num
 from .report import ErrorReport, ParameterError
 from .words import WordError, parse_word
 
-VERIFY_SELECTORS = (
-    "formal-distribution",
-    "bch-closed-form",
-    "conversions",
-    "inhomogeneous",
-    "homogeneous",
-    "eisenstein-specialization",
-)
-MEASURE_SELECTORS = ("pushforward", "congruence")
-NUMERIC_SELECTORS = ("calibration", "distribution", "cross-oracle", "classical")
-
 
 def _parse_z(text):
     if "," in text:
@@ -55,133 +46,18 @@ def _parse_z(text):
     return complex(float(text), 0.0)
 
 
+def _positive(text):
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"{text} is not above 0")
+    return value
+
+
 def _parse_word(text):
     try:
         return parse_word(text)
     except WordError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _verify_tasks(args):
-    degree = args.degree
-    depth = args.depth
-    tasks = []
-    sel = "all" if args.all else args.selector
-
-    def add(name, **kwargs):
-        task = (name, kwargs)
-        if task not in tasks:  # --degree/--depth can map two entries to one task
-            tasks.append(task)
-
-    # each matrix entry carries its own degree or depth
-    if sel in ("formal-distribution", "all"):
-        combos = (
-            [(args.r, args.n, args.flavor, 6 if args.flavor == "til" else 5)]
-            if sel != "all"
-            else [
-                (1, 2, "til", 6),
-                (1, 3, "til", 6),
-                (2, 2, "til", 6),
-                (1, 4, "til", 6),
-                (1, 2, "std", 5),
-                (1, 3, "std", 5),
-                (1, 4, "til", 7),
-                (1, 3, "std", 6),
-            ]
-        )
-        for r, n, flavor, d in combos:
-            add("formal", r=r, n=n, degree=degree or d, flavor=flavor)
-    if sel in ("bch-closed-form", "all"):
-        for d in [6] if sel != "all" else [6, 8]:
-            add("bch", degree=degree or d, candidate=args.candidate)
-    if sel in ("conversions", "all"):
-        add("conversions", depth=depth or 8)
-    for family in ("inhomogeneous", "homogeneous"):
-        if sel in (family, "all"):
-            combos = [(args.n, 6)] if sel != "all" else [(2, 6), (3, 6), (2, 8), (3, 8)]
-            for n, d in combos:
-                add(family, n=n, depth=depth or d)
-    if sel in ("eisenstein-specialization", "all"):
-        add("eisenstein", k_max=args.k_max)
-    if sel == "all":
-        tasks.extend(_measure_tasks(args, "all"))
-        tasks.extend(_numeric_tasks(args, "all"))
-        # entries added after the recorded matrix go last, so every
-        # earlier report keeps its place in the output
-        add("bch", degree=degree or 9, candidate=args.candidate)
-        add("bch", degree=degree or 10, candidate=args.candidate)
-        add("inhomogeneous", n=4, depth=depth or 6)
-        add("inhomogeneous", n=2, depth=depth or 10)
-    return tasks
-
-
-def _measure_tasks(args, sel=None):
-    sel = sel or ("all" if args.all else args.selector)
-    tasks = []
-    if sel in ("pushforward", "all"):
-        combos = (
-            [(args.ell, args.level, args.n)]
-            if sel != "all"
-            else [(3, 3, 2), (3, 2, 3), (2, 4, 2), (5, 2, 2)]
-        )
-        for ell, m, n in combos:
-            tasks.append(
-                (
-                    "pushforward",
-                    dict(
-                        ell=ell,
-                        m=m,
-                        n=n,
-                        trials=100 if args.trials is None else args.trials,
-                        seed=args.seed,
-                        depth=args.depth or 6,
-                    ),
-                )
-            )
-    if sel in ("congruence", "all"):
-        qs = [args.q] if sel != "all" and args.q else [8, 9, 16, 27]
-        for q in qs:
-            cs = [args.c] if args.c else [c for c in range(1, 2 * q, 2) if gcd(c, 2 * q) == 1]
-            for c in cs:
-                tasks.append(("congruence", dict(q=q, c=c)))
-    return tasks
-
-
-def _numeric_tasks(args, sel=None):
-    sel = sel or ("all" if args.all else args.selector)
-    tasks = []
-    if sel in ("calibration", "all"):
-        tasks.append(("calibration", dict(k_max=args.depth or 5, tol=args.tol or 1e-10)))
-    if sel in ("distribution", "all"):
-        combos = (
-            [(args.r, args.n, args.z)]
-            if sel != "all"
-            else [
-                (1, 2, complex(0.5)),
-                (1, 3, complex(-0.3)),
-                (1, 2, complex(0.3, 0.2)),
-                (2, 2, complex(0.45, 0.1)),
-            ]
-        )
-        for r, n, z in combos:
-            words = args.word or None
-            tasks.append(
-                (
-                    "distribution",
-                    dict(r=r, n=n, z=z, words=words, tol=args.tol or 1e-10),
-                )
-            )
-    if sel in ("cross-oracle", "all"):
-        tasks.append(
-            (
-                "cross-oracle",
-                dict(trials=20 if args.trials is None else args.trials,
-                     seed=args.seed, tol=args.tol or 1e-8),
-            )
-        )
-    if sel in ("classical", "all"):
-        tasks.append(("classical", dict(tol=args.tol or 1e-12)))
-    return tasks
 
 
 _RUNNERS = {
@@ -198,6 +74,123 @@ _RUNNERS = {
     "cross-oracle": polylog_num.verify_numeric_cross_oracle,
     "classical": polylog_num.verify_numeric_classical,
 }
+
+# selector -> (command, runner, the row it runs alone, read from the point
+# flags; None runs every --all row of the runner)
+_SELECTORS = {
+    "formal-distribution": (
+        "verify", "formal", lambda a: (a.r, a.n, a.flavor, 6 if a.flavor == "til" else 5)
+    ),
+    "bch-closed-form": ("verify", "bch", lambda a: (6,)),
+    "conversions": ("verify", "conversions", lambda a: (8,)),
+    "inhomogeneous": ("verify", "inhomogeneous", lambda a: (a.n, 6)),
+    "homogeneous": ("verify", "homogeneous", lambda a: (a.n, 6)),
+    "eisenstein-specialization": ("verify", "eisenstein", lambda a: ()),
+    "pushforward": ("measures", "pushforward", lambda a: (a.ell, a.level, a.n)),
+    "congruence": ("measures", "congruence", lambda a: None if a.q is None else (a.q,)),
+    "calibration": ("numeric", "calibration", lambda a: ()),
+    "distribution": ("numeric", "distribution", lambda a: (a.r, a.n, a.z)),
+    "cross-oracle": ("numeric", "cross-oracle", lambda a: ()),
+    "classical": ("numeric", "classical", lambda a: ()),
+}
+_COMMAND = {runner: command for command, runner, _ in _SELECTORS.values()}
+
+
+def _or(flag, default):
+    """A flag's value, or the default if it was not given (0 is given)."""
+    return default if flag is None else flag
+
+
+# runner -> (args, *row) -> kwargs dicts, keys in the order reports print
+# them; --degree/--depth replace each row's own degree or depth
+_KWARGS = {
+    "formal": lambda a, r, n, flavor, d: [
+        dict(r=r, n=n, degree=_or(a.degree, d), flavor=flavor)
+    ],
+    "bch": lambda a, d: [dict(degree=_or(a.degree, d), candidate=a.candidate)],
+    "conversions": lambda a, d: [dict(depth=_or(a.depth, d))],
+    "inhomogeneous": lambda a, n, d: [dict(n=n, depth=_or(a.depth, d))],
+    "homogeneous": lambda a, n, d: [dict(n=n, depth=_or(a.depth, d))],
+    "eisenstein": lambda a: [dict(k_max=a.k_max)],
+    "pushforward": lambda a, ell, m, n: [dict(
+        ell=ell, m=m, n=n, trials=_or(a.trials, 100), seed=a.seed, depth=_or(a.depth, 6)
+    )],
+    "congruence": lambda a, q: [dict(q=q, c=c) for c in (
+        [c for c in range(1, 2 * q, 2) if gcd(c, 2 * q) == 1] if a.c is None else [a.c]
+    )],
+    "calibration": lambda a: [dict(k_max=_or(a.depth, 5), tol=_or(a.tol, 1e-10))],
+    "distribution": lambda a, r, n, z: [
+        dict(r=r, n=n, z=z, words=a.word or None, tol=_or(a.tol, 1e-10))
+    ],
+    "cross-oracle": lambda a: [
+        dict(trials=_or(a.trials, 20), seed=a.seed, tol=_or(a.tol, 1e-8))
+    ],
+    "classical": lambda a: [dict(tol=_or(a.tol, 1e-12))],
+}
+
+# the --all rows, (runner, *row), in report order: ``verify --all`` runs
+# every row and the other commands their own.  Reach rows go at the end,
+# so every earlier report keeps its place.
+_MATRIX = [
+    ("formal", 1, 2, "til", 6),
+    ("formal", 1, 3, "til", 6),
+    ("formal", 2, 2, "til", 6),
+    ("formal", 1, 4, "til", 6),
+    ("formal", 1, 2, "std", 5),
+    ("formal", 1, 3, "std", 5),
+    ("formal", 1, 4, "til", 7),
+    ("formal", 1, 3, "std", 6),
+    ("bch", 6),
+    ("bch", 8),
+    ("conversions", 8),
+    *[(family, n, d) for family in ("inhomogeneous", "homogeneous")
+      for n, d in ((2, 6), (3, 6), (2, 8), (3, 8))],
+    ("eisenstein",),
+    *[("pushforward", *row) for row in ((3, 3, 2), (3, 2, 3), (2, 4, 2), (5, 2, 2))],
+    *[("congruence", q) for q in (8, 9, 16, 27)],
+    ("calibration",),
+    ("distribution", 1, 2, complex(0.5)),
+    ("distribution", 1, 3, complex(-0.3)),
+    ("distribution", 1, 2, complex(0.3, 0.2)),
+    ("distribution", 2, 2, complex(0.45, 0.1)),
+    ("cross-oracle",),
+    ("classical",),
+    ("bch", 9),
+    ("bch", 10),
+    ("inhomogeneous", 4, 6),
+    ("inhomogeneous", 2, 10),
+]
+
+
+def _tasks(command, args):
+    """The (runner, kwargs) tasks of ``polydist <command>``, in report order;
+    a task that --degree/--depth makes equal to an earlier one runs once."""
+    if args.all:
+        rows = [row for row in _MATRIX if command in ("verify", _COMMAND[row[0]])]
+    else:
+        _, runner, alone = _SELECTORS[args.selector]
+        point = alone(args)
+        rows = [(runner, *point)] if point is not None else [
+            row for row in _MATRIX if row[0] == runner
+        ]
+    tasks = []
+    for name, *row in rows:
+        for kwargs in _KWARGS[name](args, *row):
+            if (name, kwargs) not in tasks:
+                tasks.append((name, kwargs))
+    return tasks
+
+
+def _verify_tasks(args):
+    return _tasks("verify", args)
+
+
+def _measure_tasks(args):
+    return _tasks("measures", args)
+
+
+def _numeric_tasks(args):
+    return _tasks("numeric", args)
 
 
 def _run_task(task):
@@ -223,11 +216,16 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, selectors):
+    for command, text in (
+        ("verify", "symbolic engines"),
+        ("measures", "finite-level measures"),
+        ("numeric", "numerical engines"),
+    ):
+        p = sub.add_parser(command, help=text)
         p.add_argument(
             "selector",
             nargs="?",
-            choices=selectors,
+            choices=[s for s, (c, _, _) in _SELECTORS.items() if c == command],
             help="which statement family to verify",
         )
         p.add_argument("--all", action="store_true", help="run the full suite")
@@ -241,7 +239,7 @@ def build_parser():
                        help="random trials (default: 100 pushforward, 20 cross-oracle)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--z", type=_parse_z, default=complex(0.5))
-        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--tol", type=_positive, default=None)
         p.add_argument("--q", type=int, default=None)
         p.add_argument("--c", type=int, default=None)
         p.add_argument("--k-max", type=int, default=3)
@@ -254,10 +252,6 @@ def build_parser():
         p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--profile", default=None, metavar="FILE",
                        help="write cProfile stats of the serial run to FILE")
-
-    common(sub.add_parser("verify", help="symbolic engines"), VERIFY_SELECTORS)
-    common(sub.add_parser("measures", help="finite-level measures"), MEASURE_SELECTORS)
-    common(sub.add_parser("numeric", help="numerical engines"), NUMERIC_SELECTORS)
     return parser
 
 
@@ -273,12 +267,7 @@ def main(argv=None):
         # the workers' time would escape a profiler in this process
         parser.error("--profile cannot be combined with --jobs above 1")
 
-    if args.command == "verify":
-        tasks = _verify_tasks(args)
-    elif args.command == "measures":
-        tasks = _measure_tasks(args)
-    else:
-        tasks = _numeric_tasks(args)
+    tasks = _tasks(args.command, args)
     if not tasks:
         parser.error("selection produced no tasks")
 

@@ -482,10 +482,10 @@ def verify_conversions(depth=8):
 # ---------------------------------------------------------------------------
 
 
-def _inhomogeneous_payload(n, depth):
+def _inhomogeneous_checks(report, n, depth):
     """Build the level-n Lie element with closed-form branch prefactors,
-    verify it against independent BCH/morphism routes, and return the
-    derived level-1 data for downstream specialization."""
+    add its checks against independent BCH/morphism routes to report, and
+    return the ring, chi and the derived level-1 characters chi_zn."""
     K = depth
     names = ["chi", "rho"] + [
         f"c{s}_{k}" for s in range(n) for k in range(1, K + 1)
@@ -497,8 +497,6 @@ def _inhomogeneous_payload(n, depth):
         for s in range(n)
         for k in range(1, K + 1)
     }
-    checks = []
-    residuals = []
 
     def l0(s):
         return rho + (chi - 1) * Fraction(s, n)
@@ -528,12 +526,10 @@ def _inhomogeneous_payload(n, depth):
         gen = l_series(s).compose_linear(-1) * beta.compose_linear(l0(s))
         if [gen.coefficient(m - 1) for m in range(1, K + 1)] != li_branch[s]:
             ok_gen = False
-    checks.append(
-        (
-            "branch-generating-identity",
-            ok_gen,
-            "value generating series equals L(-t)·beta(L0 t) per branch",
-        )
+    report.add(
+        "branch-generating-identity",
+        ok_gen,
+        "value generating series equals L(-t)·beta(L0 t) per branch",
     )
 
     # closed-form prefactors of the level-n Lie element
@@ -567,24 +563,20 @@ def _inhomogeneous_payload(n, depth):
         else:
             twist = galois_twist_delta(ring, b, n, K)
             rhs = bch(-twist, branch_elt, which=MOD_IY)
-        checks.append(
-            (
-                f"specialization-bch-route-s{s}",
-                lhs == rhs,
-                "closed-form prefactors match the twist-arc BCH composition",
-            )
+        report.add(
+            f"specialization-bch-route-s{s}",
+            lhs == rhs,
+            "closed-form prefactors match the twist-arc BCH composition",
         )
 
     # push down the covering and extract the level-1 data
     push = pi_morphism(1, n, K)
     mu = reduce_mod_ideal(push.apply(lam), MOD_IY)
     part = polylog_part(mu, K)
-    checks.append(
-        (
-            "pushforward-kummer-scaling",
-            part.x_coeff == rho * Fraction(n),
-            "X coefficient of the push-forward is n·rho",
-        )
+    report.add(
+        "pushforward-kummer-scaling",
+        part.x_coeff == rho * Fraction(n),
+        "X coefficient of the push-forward is n·rho",
     )
     li_zn = list(part.y_coeffs(0))
 
@@ -605,12 +597,10 @@ def _inhomogeneous_payload(n, depth):
             Fraction(n)
         ) * GenSeries.exp_linear(ring, chi * Fraction(s), K)
     # the t^K coefficient would need depth-(K+1) symbols, so compare to K-1
-    checks.append(
-        (
-            "character-series-collapse",
-            lhs_series.truncate(K - 1) == rhs_series.truncate(K - 1),
-            "L-series of z^n equals sum_s L-series(branch s)(nt)·e^(s·chi·t)",
-        )
+    report.add(
+        "character-series-collapse",
+        lhs_series.truncate(K - 1) == rhs_series.truncate(K - 1),
+        "L-series of z^n equals sum_s L-series(branch s)(nt)·e^(s·chi·t)",
     )
 
     # the main statement: chi_k(z^n) as a binomial double sum over branches
@@ -632,13 +622,11 @@ def _inhomogeneous_payload(n, depth):
             ok_main = False
             if first_bad is None:
                 first_bad = k
-    checks.append(
-        (
-            "main-distribution-statement",
-            ok_main,
-            "binomial double-sum matches derived characters to depth "
-            f"{K}" + (f"; first failure at depth {first_bad}" if first_bad else ""),
-        )
+    report.add(
+        "main-distribution-statement",
+        ok_main,
+        "binomial double-sum matches derived characters to depth "
+        f"{K}" + (f"; first failure at depth {first_bad}" if first_bad else ""),
     )
 
     # exact error series of the naive guess (chi -> chi-1 in the twist
@@ -657,12 +645,10 @@ def _inhomogeneous_payload(n, depth):
 
     naive_t = (beta_n * value_sum(True)).mul_t()
     true_formula = (beta_n * value_sum(False)).mul_t()
-    checks.append(
-        (
-            "value-series-closed-form",
-            true_t == true_formula,
-            "derived values of z^n match the twist-weighted closed form",
-        )
+    report.add(
+        "value-series-closed-form",
+        true_t == true_formula,
+        "derived values of z^n match the twist-weighted closed form",
     )
     err = GenSeries.zero(ring, K)
     for s in range(1, n):
@@ -671,31 +657,25 @@ def _inhomogeneous_payload(n, depth):
         ) - GenSeries.exp_linear(ring, (chi - 1) * Fraction(-s), K)
         err = err + l_series(s).compose_linear(Fraction(-n)) * diff
     err_predicted = (beta_n * err).mul_t()
-    checks.append(
-        (
-            "naive-guess-error-series",
-            true_t - naive_t == err_predicted,
-            "true minus naive equals the predicted error series exactly",
-        )
+    report.add(
+        "naive-guess-error-series",
+        true_t - naive_t == err_predicted,
+        "true minus naive equals the predicted error series exactly",
     )
 
     # low-depth specializations
     if K >= 1:
         expect1 = ring.lincomb((csym[(s, 1)], 1) for s in range(n))
-        checks.append(
-            ("depth-1-specialization", chi_zn[0] == expect1, "plain branch sum")
-        )
+        report.add("depth-1-specialization", chi_zn[0] == expect1, "plain branch sum")
     if K >= 2:
         expect2 = ring.lincomb(
             [(csym[(s, 2)], n) for s in range(n)]
             + [(chi * csym[(s, 1)], s) for s in range(1, n)]
         )
-        checks.append(
-            (
-                "depth-2-specialization",
-                chi_zn[1] == expect2,
-                "n·(branch sum) + chi·(weighted depth-1 sum)",
-            )
+        report.add(
+            "depth-2-specialization",
+            chi_zn[1] == expect2,
+            "n·(branch sum) + chi·(weighted depth-1 sum)",
         )
     if n == 2:
         ok_n2 = True
@@ -709,24 +689,13 @@ def _inhomogeneous_payload(n, depth):
             )
             if chi_zn[k - 1] != expect:
                 ok_n2 = False
-        checks.append(
-            (
-                "doubling-general-depth",
-                ok_n2,
-                "2^(k-1)·(own char) + binomial sum over the mirrored branch",
-            )
+        report.add(
+            "doubling-general-depth",
+            ok_n2,
+            "2^(k-1)·(own char) + binomial sum over the mirrored branch",
         )
 
-    return {
-        "ring": ring,
-        "chi": chi,
-        "rho": rho,
-        "csym": csym,
-        "li_zn": li_zn,
-        "chi_zn": chi_zn,
-        "checks": checks,
-        "residuals": residuals,
-    }
+    return ring, chi, chi_zn
 
 
 def verify_inhomogeneous_pipeline(n=2, depth=6):
@@ -738,11 +707,7 @@ def verify_inhomogeneous_pipeline(n=2, depth=6):
         "inhomogeneous", {"n": n, "depth": depth}
     )
     with timed(report):
-        payload = _inhomogeneous_payload(n, depth)
-        for name, ok, detail in payload["checks"]:
-            report.add(name, ok, detail)
-        for extra in payload["residuals"]:
-            report.add_residual(**extra)
+        _inhomogeneous_checks(report, n, depth)
     return report
 
 
@@ -751,7 +716,8 @@ def verify_inhomogeneous_pipeline(n=2, depth=6):
 # ---------------------------------------------------------------------------
 
 
-def _homogeneous_payload(n, depth):
+def _homogeneous_checks(report, n, depth):
+    """Add the checks of the homogeneized level-n pipeline to report."""
     K = depth
     names = ["d0"] + [f"d{s}_{k}" for s in range(n) for k in range(1, K + 1)]
     ring = PolyRing(names)
@@ -761,7 +727,6 @@ def _homogeneous_payload(n, depth):
         for s in range(n)
         for k in range(1, K + 1)
     }
-    checks = []
 
     lam = PolylogPart(
         ring, n, FLAVOR_TILDE, K, d0,
@@ -777,24 +742,20 @@ def _homogeneous_payload(n, depth):
             dsym[(s, k)] for k in range(1, K + 1)
         ]:
             ok_spec = False
-    checks.append(
-        (
-            "specialization-common-kummer",
-            ok_spec,
-            "every unit-root specialization shares the X coefficient and "
-            "picks out its own branch coefficients",
-        )
+    report.add(
+        "specialization-common-kummer",
+        ok_spec,
+        "every unit-root specialization shares the X coefficient and "
+        "picks out its own branch coefficients",
     )
 
     # push-forward acts diagonally with degree scaling
     push = pi_morphism(1, n, K, flavor=FLAVOR_TILDE)
     part = polylog_part(push.apply(lam), K)
-    checks.append(
-        (
-            "pushforward-x-scaling",
-            part.x_coeff == d0 * Fraction(n),
-            "X coefficient multiplies by n",
-        )
+    report.add(
+        "pushforward-x-scaling",
+        part.x_coeff == d0 * Fraction(n),
+        "X coefficient multiplies by n",
     )
     li_zn = list(part.y_coeffs(0))
     ok_li = True
@@ -802,12 +763,10 @@ def _homogeneous_payload(n, depth):
         expect = ring.lincomb((dsym[(s, k)], n ** (k - 1)) for s in range(n))
         if li_zn[k - 1] != expect:
             ok_li = False
-    checks.append(
-        (
-            "pushforward-value-collapse",
-            ok_li,
-            "depth-k coefficient of the push-forward is n^(k-1)·(branch sum)",
-        )
+    report.add(
+        "pushforward-value-collapse",
+        ok_li,
+        "depth-k coefficient of the push-forward is n^(k-1)·(branch sum)",
     )
 
     # character form of the collapse
@@ -828,23 +787,11 @@ def _homogeneous_payload(n, depth):
         )
         if chi_zn[k - 1] != expect:
             ok_chi = False
-    checks.append(
-        (
-            "homogeneous-character-collapse",
-            ok_chi,
-            "characters satisfy the clean n^(k-1) distribution relation",
-        )
+    report.add(
+        "homogeneous-character-collapse",
+        ok_chi,
+        "characters satisfy the clean n^(k-1) distribution relation",
     )
-
-    return {
-        "ring": ring,
-        "d0": d0,
-        "dsym": dsym,
-        "li_zn": li_zn,
-        "chi_zn": chi_zn,
-        "chi_branch": chi_branch,
-        "checks": checks,
-    }
 
 
 def verify_homogeneous_polylog(n=2, depth=6):
@@ -854,9 +801,7 @@ def verify_homogeneous_polylog(n=2, depth=6):
         raise ParameterError("need n >= 2")
     report = VerificationReport("homogeneous", {"n": n, "depth": depth})
     with timed(report):
-        payload = _homogeneous_payload(n, depth)
-        for name, ok, detail in payload["checks"]:
-            report.add(name, ok, detail)
+        _homogeneous_checks(report, n, depth)
     return report
 
 
@@ -889,19 +834,19 @@ def derive_eisenstein_specialization(k_max=3):
     """
     from .measures import translate_chi
 
+    if k_max < 1:
+        raise ParameterError(f"k_max = {k_max} must be >= 1")
     report = VerificationReport("eisenstein-specialization", {"k_max": k_max})
     with timed(report):
         # (a) inhomogeneous route at depth 2
-        payload = _inhomogeneous_payload(2, 2)
-        pipeline_ok = all(ok for _, ok, _ in payload["checks"])
+        pipeline = VerificationReport("inhomogeneous", {"n": 2, "depth": 2})
+        ring, chi, chi_zn = _inhomogeneous_checks(pipeline, 2, 2)
         report.add(
             "doubling-pipeline-certified",
-            pipeline_ok,
+            pipeline.ok,
             "depth-2 doubling pipeline passes before specialization",
         )
-        ring = payload["ring"]
-        chi = payload["chi"]
-        eq = payload["chi_zn"][1]
+        eq = chi_zn[1]
         # the verified statement must not involve the base Kummer symbol
         report.add(
             "statement-free-of-base-kummer",
@@ -930,11 +875,11 @@ def derive_eisenstein_specialization(k_max=3):
         )
 
         # (b) homogeneized route at even depths
-        hom = _homogeneous_payload(2, max(2, 2 * k_max))
-        hom_ok = all(ok for _, ok, _ in hom["checks"])
+        hom = VerificationReport("homogeneous", {"n": 2, "depth": 2 * k_max})
+        _homogeneous_checks(hom, 2, 2 * k_max)
         report.add(
             "homogeneous-pipeline-certified",
-            hom_ok,
+            hom.ok,
             "homogeneized doubling relation passes before specialization",
         )
         ring8 = PolyRing(["chi"])

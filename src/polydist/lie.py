@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 from .ncseries import NCSeries, SeriesError
 from .words import Word, wt_x
@@ -386,7 +386,7 @@ def beta_series(ring, degree):
     from .scalars import QQ
 
     expm1_over_t = GenSeries(
-        QQ, [Fraction(1, _factorial(k + 1)) for k in range(degree + 1)]
+        QQ, [Fraction(1, factorial(k + 1)) for k in range(degree + 1)]
     )
     beta = expm1_over_t.inverse()
     if ring == QQ:
@@ -395,20 +395,12 @@ def beta_series(ring, degree):
 
 
 @lru_cache(maxsize=None)
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
-@lru_cache(maxsize=None)
 def bernoulli_number(k):
     """B_k with B_1 = -1/2 (the t/(e^t-1) convention)."""
     from .scalars import QQ
 
     beta = beta_series(QQ, k)
-    return beta.coeffs[k] * _factorial(k)
+    return beta.coeffs[k] * factorial(k)
 
 
 def bernoulli_poly(k, ring, symbol="T"):

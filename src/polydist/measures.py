@@ -209,11 +209,13 @@ def verify_measure_pushforward(ell, m, n, trials=100, seed=0, depth=6):
     integrality and the congruence are tests of integer divisibility.
 
     Raises ParameterError, before any work, unless ell is prime, n >= 1,
-    depth >= 1 and m - v_ell(n) >= 0."""
+    trials >= 1, depth >= 1 and m - v_ell(n) >= 0."""
     if not _is_prime(ell):
         raise ParameterError(f"ell = {ell} is not a prime")
     if n < 1:
         raise ParameterError(f"multiplier n = {n} must be >= 1")
+    if trials < 1:
+        raise ParameterError(f"trials = {trials} must be >= 1")
     if depth < 1:
         raise ParameterError(f"depth = {depth} must be >= 1")
     m_new = m - padic_valuation(n, ell)

@@ -373,7 +373,11 @@ def iterint_quadrature(query, options=None):
 
 
 def verify_numeric_calibration(k_max=5, zs=None, tol=1e-10):
-    """Depth-1 words against the classical polylog series."""
+    """Depth-1 words against the classical polylog series.
+
+    Raises ParameterError, before any work, unless k_max >= 1."""
+    if k_max < 1:
+        raise ParameterError(f"k_max = {k_max} must be >= 1")
     if zs is None:
         zs = [
             0.5,
@@ -468,7 +472,11 @@ def _convergent_words(level, max_degree):
 def verify_numeric_cross_oracle(
     trials=20, seed=7, tol=1e-8, max_depth=3, max_degree=5, z_cap=0.6
 ):
-    """Series evaluator against the quadrature evaluator on random queries."""
+    """Series evaluator against the quadrature evaluator on random queries.
+
+    Raises ParameterError, before any work, unless trials >= 1."""
+    if trials < 1:
+        raise ParameterError(f"trials = {trials} must be >= 1")
     report = VerificationReport(
         "numeric-cross-oracle",
         {"trials": trials, "seed": seed, "tol": tol},

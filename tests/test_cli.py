@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from itertools import combinations
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -315,3 +317,240 @@ def test_refused_measure_parameter_exits_2(args, message):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert message in proc.stderr
+
+
+# The task builders as they were before the --all matrix became a table in
+# ``cli``, kept verbatim as the oracle for the table's task lists.
+def _verify_tasks(args):
+    degree = args.degree
+    depth = args.depth
+    tasks = []
+    sel = "all" if args.all else args.selector
+
+    def add(name, **kwargs):
+        task = (name, kwargs)
+        if task not in tasks:  # --degree/--depth can map two entries to one task
+            tasks.append(task)
+
+    # each matrix entry carries its own degree or depth
+    if sel in ("formal-distribution", "all"):
+        combos = (
+            [(args.r, args.n, args.flavor, 6 if args.flavor == "til" else 5)]
+            if sel != "all"
+            else [
+                (1, 2, "til", 6),
+                (1, 3, "til", 6),
+                (2, 2, "til", 6),
+                (1, 4, "til", 6),
+                (1, 2, "std", 5),
+                (1, 3, "std", 5),
+                (1, 4, "til", 7),
+                (1, 3, "std", 6),
+            ]
+        )
+        for r, n, flavor, d in combos:
+            add("formal", r=r, n=n, degree=degree or d, flavor=flavor)
+    if sel in ("bch-closed-form", "all"):
+        for d in [6] if sel != "all" else [6, 8]:
+            add("bch", degree=degree or d, candidate=args.candidate)
+    if sel in ("conversions", "all"):
+        add("conversions", depth=depth or 8)
+    for family in ("inhomogeneous", "homogeneous"):
+        if sel in (family, "all"):
+            combos = [(args.n, 6)] if sel != "all" else [(2, 6), (3, 6), (2, 8), (3, 8)]
+            for n, d in combos:
+                add(family, n=n, depth=depth or d)
+    if sel in ("eisenstein-specialization", "all"):
+        add("eisenstein", k_max=args.k_max)
+    if sel == "all":
+        tasks.extend(_measure_tasks(args, "all"))
+        tasks.extend(_numeric_tasks(args, "all"))
+        # entries added after the recorded matrix go last, so every
+        # earlier report keeps its place in the output
+        add("bch", degree=degree or 9, candidate=args.candidate)
+        add("bch", degree=degree or 10, candidate=args.candidate)
+        add("inhomogeneous", n=4, depth=depth or 6)
+        add("inhomogeneous", n=2, depth=depth or 10)
+    return tasks
+
+
+def _measure_tasks(args, sel=None):
+    sel = sel or ("all" if args.all else args.selector)
+    tasks = []
+    if sel in ("pushforward", "all"):
+        combos = (
+            [(args.ell, args.level, args.n)]
+            if sel != "all"
+            else [(3, 3, 2), (3, 2, 3), (2, 4, 2), (5, 2, 2)]
+        )
+        for ell, m, n in combos:
+            tasks.append(
+                (
+                    "pushforward",
+                    dict(
+                        ell=ell,
+                        m=m,
+                        n=n,
+                        trials=100 if args.trials is None else args.trials,
+                        seed=args.seed,
+                        depth=args.depth or 6,
+                    ),
+                )
+            )
+    if sel in ("congruence", "all"):
+        qs = [args.q] if sel != "all" and args.q else [8, 9, 16, 27]
+        for q in qs:
+            cs = [args.c] if args.c else [c for c in range(1, 2 * q, 2) if gcd(c, 2 * q) == 1]
+            for c in cs:
+                tasks.append(("congruence", dict(q=q, c=c)))
+    return tasks
+
+
+def _numeric_tasks(args, sel=None):
+    sel = sel or ("all" if args.all else args.selector)
+    tasks = []
+    if sel in ("calibration", "all"):
+        tasks.append(("calibration", dict(k_max=args.depth or 5, tol=args.tol or 1e-10)))
+    if sel in ("distribution", "all"):
+        combos = (
+            [(args.r, args.n, args.z)]
+            if sel != "all"
+            else [
+                (1, 2, complex(0.5)),
+                (1, 3, complex(-0.3)),
+                (1, 2, complex(0.3, 0.2)),
+                (2, 2, complex(0.45, 0.1)),
+            ]
+        )
+        for r, n, z in combos:
+            words = args.word or None
+            tasks.append(
+                (
+                    "distribution",
+                    dict(r=r, n=n, z=z, words=words, tol=args.tol or 1e-10),
+                )
+            )
+    if sel in ("cross-oracle", "all"):
+        tasks.append(
+            (
+                "cross-oracle",
+                dict(trials=20 if args.trials is None else args.trials,
+                     seed=args.seed, tol=args.tol or 1e-8),
+            )
+        )
+    if sel in ("classical", "all"):
+        tasks.append(("classical", dict(tol=args.tol or 1e-12)))
+    return tasks
+
+
+_ORACLE = {"verify": _verify_tasks, "measures": _measure_tasks,
+           "numeric": _numeric_tasks}
+_BASES = [[command, selector]
+          for selector, (command, _, _) in cli._SELECTORS.items()] + [
+    [command, "--all"] for command in _ORACLE
+]
+# 19 flag settings, each value at least 1; a flag given as 0 is refused
+_SETTINGS = [
+    ["--degree", "4"], ["--degree", "9"], ["--depth", "4"], ["--depth", "10"],
+    ["--r", "2"], ["--n", "3"], ["--flavor", "std"], ["--ell", "5"],
+    ["--level", "2"], ["--trials", "7"], ["--seed", "3"], ["--z", "0.3,0.2"],
+    ["--tol", "1e-9"], ["--q", "9"], ["--q", "27"], ["--c", "5"],
+    ["--k-max", "2"], ["--candidate", "base-denominator"],
+    ["--word", "n=1,std:Y0.X"],
+]
+
+
+def _keyed(tasks):
+    """Tasks with each kwargs dict as its list of items, so that comparing
+    two task lists also compares their key order."""
+    return [(name, list(kwargs.items())) for name, kwargs in tasks]
+
+
+@pytest.mark.parametrize("base", _BASES, ids=" ".join)
+def test_task_table_matches_the_builders_it_replaced(base):
+    parser = cli.build_parser()
+    builder = {"verify": cli._verify_tasks, "measures": cli._measure_tasks,
+               "numeric": cli._numeric_tasks}[base[0]]
+    # no flag, each setting alone and every pair of settings
+    chosen = [()] + [(s,) for s in _SETTINGS] + list(combinations(_SETTINGS, 2))
+    for settings in chosen:
+        argv = base + [a for setting in settings for a in setting]
+        args = parser.parse_args(argv)
+        want = _keyed(_ORACLE[base[0]](args))
+        assert _keyed(cli._tasks(base[0], args)) == want, argv
+        assert _keyed(builder(args)) == want, argv
+
+
+def _main(capsys, *argv):
+    """Exit status and captured output of ``polydist argv``, run in this
+    process."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("selector", cli._SELECTORS)
+def test_every_selector_alone_passes(capsys, selector):
+    command = cli._SELECTORS[selector][0]
+    code, out = _main(capsys, command, selector)
+    reports = [json.loads(line) for line in out.out.splitlines()]
+    assert code == 0
+    assert reports and all(r["status"] == "pass" for r in reports)
+
+
+def test_every_runner_has_a_selector_and_an_all_row():
+    runners = [runner for _, runner, _ in cli._SELECTORS.values()]
+    assert sorted(runners) == sorted(cli._RUNNERS)
+    assert set(cli._KWARGS) == set(cli._RUNNERS)
+    assert {row[0] for row in cli._MATRIX} == set(cli._RUNNERS)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "bch-closed-form", "--degree", "0"), "degree must be >= 1"),
+        (("verify", "formal-distribution", "--degree", "0"), "degree must be >= 1"),
+        (("verify", "conversions", "--depth", "0"), "degree must be >= 1"),
+        (("verify", "homogeneous", "--depth", "0"), "degree must be >= 1"),
+        (("numeric", "calibration", "--depth", "0"), "k_max = 0 must be >= 1"),
+        (("measures", "pushforward", "--depth", "0"), "depth = 0 must be >= 1"),
+        (("measures", "congruence", "--q", "9", "--c", "0"), "c = 0 is not invertible"),
+        (("measures", "congruence", "--q", "0"), "selection produced no tasks"),
+    ],
+)
+def test_a_flag_given_as_0_is_refused_not_defaulted(capsys, argv, message):
+    code, out = _main(capsys, *argv)
+    assert code == 2
+    assert out.out == ""
+    assert message in out.err
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-9", "nan"])
+@pytest.mark.parametrize("selector", ["calibration", "distribution", "cross-oracle"])
+def test_a_tolerance_not_above_0_is_refused_at_parse_time(capsys, monkeypatch, tol,
+                                                          selector):
+    # tol 0 would reach li_classical's log of 0 and print an error line;
+    # with no task builder, only a refusal while parsing exits 2
+    monkeypatch.setattr(cli, "_tasks", None)
+    code, out = _main(capsys, "numeric", selector, f"--tol={tol}")
+    assert code == 2
+    assert out.out == ""
+    assert f"{tol} is not above 0" in out.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("numeric", "cross-oracle", "--trials", "0"), "trials = 0 must be >= 1"),
+        (("measures", "pushforward", "--trials", "0"), "trials = 0 must be >= 1"),
+        (("verify", "eisenstein-specialization", "--k-max", "0"),
+         "k_max = 0 must be >= 1"),
+    ],
+)
+def test_a_vacuous_certificate_is_a_usage_error(capsys, argv, message):
+    code, out = _main(capsys, *argv)
+    assert code == 2
+    assert out.out == ""
+    assert message in out.err

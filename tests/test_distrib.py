@@ -24,7 +24,7 @@ from polydist.distrib import (
 from polydist.geometry import pi_morphism
 from polydist.lie import bernoulli_number, beta_series
 from polydist.ncseries import AlgebraMorphism, NCSeries
-from polydist.report import VerificationReport
+from polydist.report import ParameterError, VerificationReport
 from polydist.scalars import QQ, PolyRing
 from polydist.words import (
     FLAVOR_STANDARD,
@@ -429,3 +429,15 @@ def test_degree_cap_env(monkeypatch):
         verify_formal_distribution(r=1, n=2, degree=4, flavor="til")
     monkeypatch.delenv("POLYDIST_MAX_DEGREE")
     assert os.environ.get("POLYDIST_MAX_DEGREE") is None
+
+
+@pytest.mark.parametrize("k_max", [0, -1])
+def test_eisenstein_refuses_a_vacuous_depth_before_any_work(monkeypatch, k_max):
+    # with k_max < 1 no even depth is solved, so the report would pass on nothing
+    def no_work(*args, **kwargs):
+        raise AssertionError("a pipeline was built")
+
+    monkeypatch.setattr(distrib, "_inhomogeneous_checks", no_work)
+    monkeypatch.setattr(distrib, "_homogeneous_checks", no_work)
+    with pytest.raises(ParameterError, match=f"k_max = {k_max} must be >= 1"):
+        derive_eisenstein_specialization(k_max=k_max)

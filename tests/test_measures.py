@@ -384,3 +384,13 @@ def test_random_measure_respects_seed():
     a = random_measure(5, 2, Fraction(0), random.Random(1))
     b = random_measure(5, 2, Fraction(0), random.Random(1))
     assert a == b
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_verify_pushforward_refuses_a_vacuous_trial_count(monkeypatch, trials):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a measure was drawn")
+
+    monkeypatch.setattr(measures, "random_measure", no_work)
+    with pytest.raises(ParameterError, match=f"trials = {trials} must be >= 1"):
+        verify_measure_pushforward(3, 3, 2, trials=trials)

@@ -24,6 +24,7 @@ from polydist.polylog_num import (
     verify_numeric_cross_oracle,
     verify_numeric_distribution,
 )
+from polydist.report import ParameterError
 from polydist.words import FLAVOR_STANDARD, Word, empty_word, parse_word
 
 
@@ -386,3 +387,23 @@ def test_cross_oracle_depth4_reach(seed):
     )
     assert rep.ok, rep.failures()
     assert rep.params["tol"] == 1e-8
+
+
+@pytest.mark.parametrize(
+    "engine, kwargs, message",
+    [
+        (verify_numeric_calibration, {"k_max": 0}, "k_max = 0 must be >= 1"),
+        (verify_numeric_cross_oracle, {"trials": 0}, "trials = 0 must be >= 1"),
+        (verify_numeric_cross_oracle, {"trials": -3}, "trials = -3 must be >= 1"),
+    ],
+)
+def test_vacuous_numeric_certificates_are_refused_before_any_work(
+    monkeypatch, engine, kwargs, message
+):
+    # with no point or no query these reports would pass on nothing
+    def no_work(*args, **kwargs):
+        raise AssertionError("a value was evaluated")
+
+    monkeypatch.setattr(polylog_num, "mpl_series", no_work)
+    with pytest.raises(ParameterError, match=message):
+        engine(**kwargs)
