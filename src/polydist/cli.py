@@ -16,12 +16,15 @@ One JSON object per report is written to stdout (and to --out if given).
 which ``pstats.Stats(FILE)`` loads; only a serial run can be profiled.
 Exit status is 0 iff every report passes and 1 if a check fails.  Invalid
 usage exits 2 with no report: that includes --word together with --all,
---profile together with --jobs above 1, a --tol not above 0, a parameter an
-engine refuses (``ParameterError``: a degree, depth, --k-max or --trials
-below 1, since a flag given as 0 is passed on, not replaced by its default)
-and a degree above the cap that the environment variable POLYDIST_MAX_DEGREE
-sets.  An engine that raises any other exception gets, in place of its
-report, a line
+--profile together with --jobs above 1, a --tol not above 0, a --jobs below
+1, a parameter an engine refuses (``ParameterError``: a degree, depth,
+--k-max or --trials below 1, since a flag given as 0 is passed on, not
+replaced by its default, and a level --r or --n below 1 for
+formal-distribution and numeric distribution) and a degree above the cap
+that the environment variable POLYDIST_MAX_DEGREE sets, which binds
+eisenstein-specialization at depth 2·--k-max.  ``--jobs N`` runs the tasks
+in min(N, number of tasks) worker processes.  An engine that raises any
+other exception gets, in place of its report, a line
 ``{"statement", "params", "status": "error", "error": {"type", "message"}}``
 with the task's name as ``statement``; the other reports are kept, and the
 run exits 3.
@@ -50,6 +53,13 @@ def _positive(text):
     value = float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"{text} is not above 0")
+    return value
+
+
+def _at_least_one(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is below 1")
     return value
 
 
@@ -249,7 +259,7 @@ def build_parser():
         p.add_argument("--word", action="append", default=[], type=_parse_word,
                        help="word in text form, repeatable")
         p.add_argument("--out", default=None, help="also write ND-JSON here")
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=_at_least_one, default=1)
         p.add_argument("--profile", default=None, metavar="FILE",
                        help="write cProfile stats of the serial run to FILE")
     return parser
@@ -272,8 +282,9 @@ def main(argv=None):
         parser.error("selection produced no tasks")
 
     try:
-        if args.jobs and args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        if args.jobs > 1:
+            # the pool starts all its workers at once: no more than tasks
+            with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
                 reports = list(pool.map(_run_or_error, tasks))
         elif args.profile:
             import cProfile

@@ -49,8 +49,7 @@ from .words import (
     FLAVOR_STANDARD,
     FLAVOR_TILDE,
     Word,
-    empty_word,
-    reduce_mod_r,
+    reduce_letters,
     words_depth_first,
     words_up_to_degree,
     wt_x,
@@ -156,6 +155,8 @@ def verify_formal_distribution(r=1, n=2, degree=6, flavor=FLAVOR_TILDE):
     of the nonzero residuals.
     """
     _check_degree(degree)
+    if r < 1 or n < 1:
+        raise ParameterError(f"levels must be >= 1, got r = {r}, n = {n}")
     rn = r * n
     report = VerificationReport(
         "formal-distribution",
@@ -166,13 +167,12 @@ def verify_formal_distribution(r=1, n=2, degree=6, flavor=FLAVOR_TILDE):
         # target word -> length of the longest source word whose image has a
         # wrong coefficient there
         wrong = {}
-        source_words = words_depth_first(rn, flavor, degree, min_degree=1)
-        for u, image in push.word_images(source_words):
+        for u, image in push.word_images(words_depth_first(rn, degree, 1)):
             coeffs = image.coeffs
-            lifted, scale = reduce_mod_r(u, r), n ** wt_x(u)
+            lifted, scale = reduce_letters(u, r), n ** u.count(0)
             for w in coeffs.keys() | {lifted}:
                 if coeffs.get(w, 0) != (scale if w == lifted else 0):
-                    wrong[w] = max(wrong.get(w, 0), u.degree())
+                    wrong[w] = max(wrong.get(w, 0), len(u))
 
         target_words = words_up_to_degree(r, flavor, degree, min_degree=1)
         exact_failures = []
@@ -180,19 +180,19 @@ def verify_formal_distribution(r=1, n=2, degree=6, flavor=FLAVOR_TILDE):
         nonzero_residuals = 0
         sample = None
         for w in target_words:
-            if w not in wrong:
+            if w.letters not in wrong:
                 continue
             if flavor == FLAVOR_TILDE or wt_x(w) == 0:
                 exact_failures.append(str(w))
                 continue
             nonzero_residuals += 1
-            if wrong[w] >= w.degree():
+            if wrong[w.letters] >= len(w.letters):
                 support_failures.append(str(w))
             if sample is None:
                 sample = {
                     "word": str(w),
-                    "max_symbol_word_length": wrong[w],
-                    "word_length": w.degree(),
+                    "max_symbol_word_length": wrong[w.letters],
+                    "word_length": len(w.letters),
                 }
         unit = NCSeries.one(QQ, rn, flavor, degree)
         report.add(
@@ -407,11 +407,11 @@ def verify_conversions(depth=8):
         ok_x = True
         ok_y = True
         for i in range(K + 1):
-            cx = g.coefficient(Word(1, FLAVOR_STANDARD, (0,) * i))
+            cx = g.coefficient((0,) * i)
             if cx != (-rho) ** i * Fraction(1, factorial(i)):
                 ok_x = False
             if 1 + i <= K:
-                cy = g.coefficient(Word(1, FLAVOR_STANDARD, (1,) + (0,) * i))
+                cy = g.coefficient((1,) + (0,) * i)
                 if cy != cs[i] * Fraction(-1, factorial(i)):
                     ok_y = False
         report.add("group-like-x-coefficients", ok_x, "(-rho)^i/i! for i <= depth")
@@ -424,18 +424,16 @@ def verify_conversions(depth=8):
         ring_j = PolyRing(["a"] + [f"d{k}" for k in range(1, K + 1)])
         a = ring_j.sym("a")
         ds = [ring_j.sym(f"d{k}") for k in range(1, K + 1)]
-        coeffs = {empty_word(1, FLAVOR_STANDARD): ring_j.one}
+        coeffs = {(): ring_j.one}
         for i in range(1, K + 1):
-            coeffs[Word(1, FLAVOR_STANDARD, (0,) * i)] = a**i * Fraction(
-                1, factorial(i)
-            )
+            coeffs[(0,) * i] = a**i * Fraction(1, factorial(i))
         for i in range(K):
-            coeffs[Word(1, FLAVOR_STANDARD, (1,) + (0,) * i)] = -ds[i]
+            coeffs[(1,) + (0,) * i] = -ds[i]
         gen = NCSeries(ring_j, 1, FLAVOR_STANDARD, K, coeffs)
         lg = log_mod(gen, MOD_JY)
         ok_extract = True
         for m in range(1, K + 1):
-            got = lg.coefficient(Word(1, FLAVOR_STANDARD, (1,) + (0,) * (m - 1)))
+            got = lg.coefficient((1,) + (0,) * (m - 1))
             want = ring_j.lincomb(
                 (a**k * ds[m - k - 1], bernoulli_number(k) / factorial(k))
                 for k in range(m)
@@ -447,8 +445,8 @@ def verify_conversions(depth=8):
             ok_extract,
             "Y.X^(m-1) coefficient of log equals the Bernoulli-weighted sum",
         )
-        ok_logx = lg.coefficient(Word(1, FLAVOR_STANDARD, (0,))) == a and all(
-            lg.coefficient(Word(1, FLAVOR_STANDARD, (0,) * i)).is_zero()
+        ok_logx = lg.coefficient((0,)) == a and all(
+            lg.coefficient((0,) * i).is_zero()
             for i in range(2, K + 1)
         )
         report.add("pure-x-log-linear", ok_logx, "log of exp(aX) part is aX")
@@ -458,7 +456,7 @@ def verify_conversions(depth=8):
         lg_g = log_mod(g, MOD_JY)
         ok_dual = True
         for m in range(1, K + 1):
-            got = lg_g.coefficient(Word(1, FLAVOR_STANDARD, (1,) + (0,) * (m - 1)))
+            got = lg_g.coefficient((1,) + (0,) * (m - 1))
             want_direct = li[m - 1] * Fraction(-((-1) ** (m - 1)), 1)
             want_formula = ring_c.lincomb(
                 (
@@ -836,6 +834,7 @@ def derive_eisenstein_specialization(k_max=3):
 
     if k_max < 1:
         raise ParameterError(f"k_max = {k_max} must be >= 1")
+    _check_degree(2 * k_max)  # route (b) runs the homogeneous pipeline there
     report = VerificationReport("eisenstein-specialization", {"k_max": k_max})
     with timed(report):
         # (a) inhomogeneous route at depth 2

@@ -48,8 +48,7 @@ def conjugated_puncture_letter(k, trunc, level=1, flavor=FLAVOR_STANDARD, y_inde
             c = Fraction(k**a * (-k) ** b, factorial(a) * factorial(b))
             if not c:
                 continue
-            w = Word(level, flavor, (0,) * a + (1 + y_index,) + (0,) * b)
-            coeffs[w] = c
+            coeffs[(0,) * a + (1 + y_index,) + (0,) * b] = c
     return NCSeries(QQ, level, flavor, trunc, coeffs)
 
 

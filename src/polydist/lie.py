@@ -24,7 +24,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .ncseries import NCSeries, SeriesError
-from .words import Word, wt_x
+from .words import Word
 
 MOD_IY = "IY"
 MOD_JY = "JY"
@@ -44,12 +44,12 @@ class NotPolylogError(ValueError):
 
 
 def _y_count(w):
-    return len(w.letters) - wt_x(w)
+    return len(w) - w.count(0)
 
 
 def _survives_jy(w):
     # no Y may follow anything: survivors are X^i and Y.X^i
-    return not any(w.letters[1:])
+    return not any(w[1:])
 
 
 def _survivor_test(which, level):
@@ -98,10 +98,10 @@ def mul_mod(a, b, which=None):
             return by_y_count[min(_y_count(w1), 2)]
 
     else:
-        pure_x = [t for t in right if not any(t[0].letters)]
+        pure_x = [t for t in right if not any(t[0])]
 
         def partners(w1):
-            if not w1.letters:
+            if not w1:
                 return right
             return pure_x if keep(w1) else ()
 
@@ -194,14 +194,14 @@ class PolylogPart:
         """
         trunc = self.depth if trunc is None else trunc
         ring, level, flavor = self.ring, self.level, self.flavor
-        coeffs = {Word(level, flavor, (0,)): ring.coerce(self.x_coeff)}
+        coeffs = {(0,): ring.coerce(self.x_coeff)}
         for s, branch in self.branches.items():
             for m, c in enumerate(branch[:trunc], start=1):
                 c = ring.coerce(c)
                 if ring.is_zero(c):
                     continue
                 for j in range(m):
-                    w = Word(level, flavor, (0,) * (m - 1 - j) + (1 + s,) + (0,) * j)
+                    w = (0,) * (m - 1 - j) + (1 + s,) + (0,) * j
                     coeffs[w] = c * ((-1) ** j * comb(m - 1, j))
         return NCSeries(ring, level, flavor, trunc, coeffs)
 
@@ -227,13 +227,12 @@ def polylog_part(lam, depth=None):
     if depth > lam.trunc:
         raise SeriesError(f"depth {depth} exceeds truncation {lam.trunc}")
     reduced = reduce_mod_ideal(lam, MOD_IY)
-    x_coeff = reduced.coefficient(Word(lam.level, lam.flavor, (0,)))
+    x_coeff = reduced.coefficient((0,))
     branches = {}
     for s in range(lam.level):
         coeffs = []
         for m in range(1, depth + 1):
-            w = Word(lam.level, lam.flavor, (1 + s,) + (0,) * (m - 1))
-            c = reduced.coefficient(w)
+            c = reduced.coefficient((1 + s,) + (0,) * (m - 1))
             if m % 2 == 0:
                 c = -c
             coeffs.append(c)
@@ -241,7 +240,7 @@ def polylog_part(lam, depth=None):
     part = PolylogPart(lam.ring, lam.level, lam.flavor, depth, x_coeff, branches)
     residual = reduced - part.rebuild(lam.trunc)
     if not residual.is_zero():
-        bad = residual.support()[0]
+        bad = Word(lam.level, lam.flavor, residual.support()[0])
         raise NotPolylogError(
             f"element is not of polylog shape mod IY: residual at word {bad}",
             word=bad,

@@ -1,8 +1,9 @@
 """Degree-truncated non-commutative power series over a coefficient ring.
 
-A series is a sparse dict Word -> coefficient, truncated at a total degree
-bound ``trunc`` (terms of degree > trunc are dropped by every operation, so
-arithmetic is exact in the quotient by words of degree > trunc).
+A series is a sparse dict letters -> coefficient, keyed by the
+``Word.letters`` of words of its level and flavor (degree is length) and
+truncated at a total degree bound ``trunc`` (terms of degree > trunc are
+dropped by every operation, so arithmetic is exact in that quotient).
 
 ``AlgebraMorphism`` is a ring map determined by letter images with zero
 constant term (so it preserves the augmentation and interacts correctly with
@@ -19,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import QQ
-from .words import empty_word, render_letters
+from .words import Word, render_letters
 
 class SeriesError(ValueError):
     """Raised for level/flavor/ring mismatches and degree overflows."""
@@ -38,9 +39,9 @@ class NCSeries:
         self.coeffs = {}
         if coeffs:
             for w, c in coeffs.items():
-                if w.level != level or w.flavor != flavor:
-                    raise SeriesError(f"word {w} does not match level/flavor")
-                if w.degree() <= trunc and not ring.is_zero(c):
+                if w and not 0 <= min(w) <= max(w) <= level:
+                    raise SeriesError(f"word {w} outside the level-{level} alphabet")
+                if len(w) <= trunc and not ring.is_zero(c):
                     self.coeffs[w] = c
 
     # -- constructors ---------------------------------------------------
@@ -51,12 +52,12 @@ class NCSeries:
 
     @classmethod
     def one(cls, ring, level, flavor, trunc):
-        return cls(ring, level, flavor, trunc, {empty_word(level, flavor): ring.one})
+        return cls(ring, level, flavor, trunc, {(): ring.one})
 
     @classmethod
     def monomial(cls, ring, word, trunc, coeff=None):
         c = ring.one if coeff is None else ring.coerce(coeff)
-        return cls(ring, word.level, word.flavor, trunc, {word: c})
+        return cls(ring, word.level, word.flavor, trunc, {word.letters: c})
 
     def _like(self, coeffs):
         return NCSeries(self.ring, self.level, self.flavor, self.trunc, coeffs)
@@ -75,20 +76,22 @@ class NCSeries:
     # -- inspection -------------------------------------------------------
 
     def coefficient(self, word):
-        """Coefficient of a word; degree beyond trunc is an error (unknown)."""
-        if word.level != self.level or word.flavor != self.flavor:
-            raise SeriesError(f"word {word} does not match level/flavor")
-        if word.degree() > self.trunc:
+        """Coefficient of a Word or letters; degree beyond trunc is an error."""
+        if isinstance(word, Word):
+            if word.level != self.level or word.flavor != self.flavor:
+                raise SeriesError(f"word {word} does not match level/flavor")
+            word = word.letters
+        if len(word) > self.trunc:
             raise SeriesError(
-                f"word degree {word.degree()} exceeds truncation {self.trunc}"
+                f"word degree {len(word)} exceeds truncation {self.trunc}"
             )
         return self.coeffs.get(word, self.ring.zero)
 
     def constant_term(self):
-        return self.coeffs.get(empty_word(self.level, self.flavor), self.ring.zero)
+        return self.coeffs.get((), self.ring.zero)
 
     def support(self):
-        return sorted(self.coeffs)
+        return sorted(self.coeffs, key=lambda w: (len(w), w))  # Word order
 
     def is_zero(self):
         return not self.coeffs
@@ -97,19 +100,19 @@ class NCSeries:
         """Smallest degree with a nonzero term; trunc+1 for the zero series."""
         if not self.coeffs:
             return self.trunc + 1
-        return min(w.degree() for w in self.coeffs)
+        return min(map(len, self.coeffs))
 
     def homogeneous_component(self, d):
-        return self._like({w: c for w, c in self.coeffs.items() if w.degree() == d})
+        return self._like({w: c for w, c in self.coeffs.items() if len(w) == d})
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
         other = self._check(other)
         trunc = min(self.trunc, other.trunc)
-        coeffs = {w: c for w, c in self.coeffs.items() if w.degree() <= trunc}
+        coeffs = {w: c for w, c in self.coeffs.items() if len(w) <= trunc}
         for w, c in other.coeffs.items():
-            if w.degree() > trunc:
+            if len(w) > trunc:
                 continue
             s = coeffs.get(w)
             s = c if s is None else s + c
@@ -142,13 +145,13 @@ class NCSeries:
         coeffs = {}
         terms = other.coeffs.items()
         for w1, c1 in self.coeffs.items():
-            d1 = w1.degree()
+            d1 = len(w1)
             if d1 > trunc:
                 continue
             for w2, c2 in terms if partners is None else partners(w1):
-                if d1 + w2.degree() > trunc:
+                if d1 + len(w2) > trunc:
                     continue
-                w = w1 * w2
+                w = w1 + w2
                 c = c1 * c2
                 s = coeffs.get(w)
                 s = c if s is None else s + c
@@ -182,7 +185,7 @@ class NCSeries:
             self.level,
             self.flavor,
             trunc,
-            {w: c for w, c in self.coeffs.items() if w.degree() <= trunc},
+            {w: c for w, c in self.coeffs.items() if len(w) <= trunc},
         )
 
     def map_coefficients(self, f, ring=None):
@@ -226,7 +229,7 @@ class NCSeries:
         parts = []
         for w in self.support():
             c = self.coeffs[w]
-            body = render_letters(w.letters) or "1"
+            body = render_letters(w) or "1"
             parts.append(f"({c})*{body}")
         return " + ".join(parts)
 
@@ -282,7 +285,7 @@ class AlgebraMorphism:
             raise SeriesError(f"letter {letter} is not in the source alphabet")
 
     def word_images(self, words):
-        """Yield ``(word, image)`` for each source word, in the given order.
+        """Yield ``(letters, image)`` for each source letter tuple, in order.
 
         The image of a word is the product of its letter images over ``QQ``,
         truncated at the map's degree.  A stack holds the images of the
@@ -295,8 +298,7 @@ class AlgebraMorphism:
         # stack[i] is the image of prev[:i]
         prev = ()
         stack = [NCSeries.one(QQ, self.target_level, self.target_flavor, self.trunc)]
-        for word in words:
-            letters = word.letters
+        for letters in words:
             k = 0
             for a, b in zip(prev, letters):
                 if a != b:
@@ -306,7 +308,7 @@ class AlgebraMorphism:
             for letter in letters[k:]:
                 stack.append(stack[-1] * self.images[letter])
             prev = letters
-            yield word, stack[-1]
+            yield letters, stack[-1]
 
     def apply(self, series):
         """The image of ``series``, over the series' own ring."""
@@ -316,7 +318,7 @@ class AlgebraMorphism:
         coeffs = series.coeffs
         # (coefficient, rational) pairs per target word: one lincomb each
         pairs = {}
-        for w, image in self.word_images(sorted(coeffs, key=lambda u: u.letters)):
+        for w, image in self.word_images(sorted(coeffs)):
             c = coeffs[w]
             for w2, q in image.coeffs.items():
                 pairs.setdefault(w2, []).append((c, q))

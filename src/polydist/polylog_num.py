@@ -419,7 +419,10 @@ def verify_numeric_distribution(r, n, z, words=None, tol=1e-10, max_degree=3):
     """Numerical distribution relation at a point: for level-r words w,
     value(w at z^n) = n^(wt_x(w)) * sum of values over lifts(w, n) at z.
 
-    Raises ParameterError for a given word whose level is not r."""
+    Raises ParameterError, before any work, for r or n below 1 and for a
+    given word whose level is not r."""
+    if r < 1 or n < 1:
+        raise ParameterError(f"levels must be >= 1, got r = {r}, n = {n}")
     for w in words or ():
         if w.level != r:
             raise ParameterError(f"word {w} is not at level r = {r}")

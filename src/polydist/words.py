@@ -4,7 +4,8 @@ At level n there is one translation-invariant letter X and n puncture
 letters Y0..Y(n-1), one per n-th root of unity (indexed anticlockwise).
 A letter is a small int: 0 is X and 1 + i is Y_i, so the alphabet of level
 n is ``range(n + 1)`` and plain int order is the canonical letter order
-X < Y0 < ... < Y(n-1).  Words carry their level and a flavor:
+X < Y0 < ... < Y(n-1).  A ``Word`` tags its letters with a level and a
+flavor (series key on the bare letters, as they carry both themselves):
 
 - "std" — the inhomogeneous (full monodromy) coordinates;
 - "til" — the homogeneized coordinates, where push-forwards act diagonally.
@@ -58,9 +59,6 @@ class Word:
                     f"letter {a!r} out of range for level {self.level} "
                     "(0 is X, 1 + i is Y_i)"
                 )
-
-    def degree(self):
-        return len(self.letters)
 
     def sort_key(self):
         return (len(self.letters), self.letters)
@@ -126,28 +124,30 @@ def words_up_to_degree(level, flavor, max_degree, min_degree=0):
     return out
 
 
-def words_depth_first(level, flavor, max_degree, min_degree=0):
-    """All words of degree in [min_degree, max_degree] in plain letter-tuple
-    order, each word just before its extensions: a depth-first walk of the
-    word trie.  Yields one word at a time, so no degree layer is held."""
+def words_depth_first(level, max_degree, min_degree=0):
+    """The letters of all words of degree in [min_degree, max_degree] in
+    plain tuple order, each word just before its extensions: a depth-first
+    walk of the word trie.  Yields one tuple at a time, so no degree layer is
+    held."""
     pending = [()]
     while pending:
         letters = pending.pop()
         if len(letters) >= min_degree:
-            yield Word(level, flavor, letters)
+            yield letters
         if len(letters) < max_degree:  # children pushed last letter first
             pending.extend(letters + (a,) for a in range(level, -1, -1))
 
 
-def reduce_mod_r(w, r):
-    """Project a word from level n·r down to level r.
+def reduce_letters(letters, r):
+    """X stays X; the puncture index reduces mod r."""
+    return tuple(1 + (a - 1) % r if a else 0 for a in letters)
 
-    X stays X; the puncture index reduces mod r.  Requires r | level.
-    """
+
+def reduce_mod_r(w, r):
+    """Project a word from level n·r down to level r.  Requires r | level."""
     if w.level % r != 0:
         raise WordError(f"level {w.level} is not divisible by {r}")
-    letters = tuple(1 + (a - 1) % r if a else 0 for a in w.letters)
-    return Word(r, w.flavor, letters)
+    return Word(r, w.flavor, reduce_letters(w.letters, r))
 
 
 def enumerate_lifts(w, n):

@@ -554,3 +554,76 @@ def test_a_vacuous_certificate_is_a_usage_error(capsys, argv, message):
     assert code == 2
     assert out.out == ""
     assert message in out.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "formal-distribution", "--n", "0"), "got r = 1, n = 0"),
+        (("verify", "formal-distribution", "--r", "0"), "got r = 0, n = 2"),
+        (("numeric", "distribution", "--r", "0"), "got r = 0, n = 2"),
+        (("numeric", "distribution", "--n", "0"), "got r = 1, n = 0"),
+        (("numeric", "distribution", "--n", "-1"), "got r = 1, n = -1"),
+    ],
+)
+def test_a_level_below_1_is_a_usage_error(capsys, argv, message):
+    code, out = _main(capsys, *argv)
+    assert code == 2
+    assert out.out == ""
+    assert f"levels must be >= 1, {message}" in out.err
+
+
+def test_the_degree_cap_binds_eisenstein_at_twice_k_max(capsys, monkeypatch):
+    monkeypatch.delenv("POLYDIST_MAX_DEGREE", raising=False)
+    argv = ("verify", "eisenstein-specialization", "--k-max", "7")
+    code, out = _main(capsys, *argv)
+    assert code == 2
+    assert out.out == ""
+    assert "degree 14 exceeds POLYDIST_MAX_DEGREE=12" in out.err
+    monkeypatch.setenv("POLYDIST_MAX_DEGREE", "14")
+    code, out = _main(capsys, *argv)
+    assert code == 0
+    assert [json.loads(line)["status"] for line in out.out.splitlines()] == ["pass"]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_1_is_refused_at_parse_time(capsys, monkeypatch, jobs):
+    monkeypatch.setattr(cli, "_tasks", None)
+    code, out = _main(capsys, "verify", "conversions", f"--jobs={jobs}")
+    assert code == 2
+    assert out.out == ""
+    assert f"{jobs} is below 1" in out.err
+
+
+@pytest.mark.parametrize(
+    "argv, tasks, workers",
+    [
+        (("verify", "conversions", "--depth", "2", "--jobs", "4"), 1, 1),
+        (("measures", "congruence", "--q", "8", "--jobs", "3"), 8, 3),
+        (("measures", "congruence", "--q", "8", "--jobs", "12"), 8, 8),
+    ],
+)
+def test_jobs_starts_no_more_workers_than_tasks(capsys, monkeypatch, argv, tasks,
+                                                workers):
+    made = []
+
+    class RecordingPool:
+        """Records ``max_workers`` and maps in this process: no worker starts."""
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    code, out = _main(capsys, *argv)
+    assert code == 0
+    assert made == [workers]
+    assert len(out.out.splitlines()) == tasks

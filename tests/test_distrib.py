@@ -140,7 +140,7 @@ def _corrupted_pi(letter, factor, extra=()):
         phi = pi_morphism(r, n, trunc, flavor)
         images = dict(phi.images)
         images[letter] = images[letter].scale(factor) + NCSeries(
-            QQ, r, flavor, trunc, dict(extra)
+            QQ, r, flavor, trunc, {w.letters: c for w, c in extra}
         )
         return AlgebraMorphism(r * n, flavor, r, flavor, images, trunc)
 
@@ -248,12 +248,12 @@ def _formal_distribution_oracle(r, n, degree, flavor):
     ring = PolyRing(names)
     sym_of = {}
     len_of_gen = {}
-    coeffs = {empty_word(rn, flavor): ring.one}
+    coeffs = {(): ring.one}
     for w, name in zip(source_words, names):
         s = ring.sym(name)
         sym_of[w] = s
-        len_of_gen[ring.index[name]] = w.degree()
-        coeffs[w] = s
+        len_of_gen[ring.index[name]] = len(w.letters)
+        coeffs[w.letters] = s
     generic = NCSeries(ring, rn, flavor, degree, coeffs)
 
     push = distrib.pi_morphism(r, n, degree, flavor)
@@ -281,7 +281,7 @@ def _formal_distribution_oracle(r, n, degree, flavor):
         for mono in residual.terms:
             for idx, exp in mono:
                 max_len = max(max_len, len_of_gen[idx])
-                if len_of_gen[idx] >= w.degree():
+                if len_of_gen[idx] >= len(w.letters):
                     clean = False
         if not clean:
             support_failures.append(str(w))
@@ -289,7 +289,7 @@ def _formal_distribution_oracle(r, n, degree, flavor):
             sample = {
                 "word": str(w),
                 "max_symbol_word_length": max_len,
-                "word_length": w.degree(),
+                "word_length": len(w.letters),
             }
     report.add(
         "empty-word-normalized",
@@ -441,3 +441,24 @@ def test_eisenstein_refuses_a_vacuous_depth_before_any_work(monkeypatch, k_max):
     monkeypatch.setattr(distrib, "_homogeneous_checks", no_work)
     with pytest.raises(ParameterError, match=f"k_max = {k_max} must be >= 1"):
         derive_eisenstein_specialization(k_max=k_max)
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work was started")
+
+
+@pytest.mark.parametrize("r, n", [(0, 2), (1, 0), (2, -1)])
+def test_formal_distribution_refuses_a_level_below_1_before_any_work(
+    monkeypatch, r, n
+):
+    monkeypatch.setattr(distrib, "pi_morphism", _no_work)
+    with pytest.raises(ParameterError, match=f"got r = {r}, n = {n}"):
+        verify_formal_distribution(r=r, n=n, degree=2)
+
+
+def test_eisenstein_is_capped_at_twice_k_max_before_any_work(monkeypatch):
+    monkeypatch.setattr(distrib, "_inhomogeneous_checks", _no_work)
+    monkeypatch.setattr(distrib, "_homogeneous_checks", _no_work)
+    monkeypatch.setenv("POLYDIST_MAX_DEGREE", "13")
+    with pytest.raises(DegreeCapError, match="degree 14 exceeds"):
+        derive_eisenstein_specialization(k_max=7)

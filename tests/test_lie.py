@@ -26,7 +26,7 @@ from polydist.distrib import group_like_from_chi, li_from_chi
 from polydist.lie import PolylogPart
 from polydist.ncseries import NCSeries, SeriesError
 from polydist.scalars import QQ, PolyRing, SymbolicPoly
-from polydist.words import FLAVOR_STANDARD, FLAVORS, Word, parse_word
+from polydist.words import FLAVOR_STANDARD, FLAVORS, parse_word
 
 X = parse_word("n=1,std:X")
 Y = parse_word("n=1,std:Y0")
@@ -39,7 +39,7 @@ def mono(w, trunc, c=1):
 def ad_pow(ring, m, trunc):
     """ad(X)^(m-1)(Y) at level 1: sum_j (-1)^j C(m-1, j) X^(m-1-j).Y.X^j."""
     coeffs = {
-        Word(1, FLAVOR_STANDARD, (0,) * (m - 1 - j) + (1,) + (0,) * j):
+        (0,) * (m - 1 - j) + (1,) + (0,) * j:
         ring.from_int((-1) ** j * comb(m - 1, j))
         for j in range(m)
     }
@@ -147,7 +147,7 @@ def _series(draw, ring, level, flavor, trunc, min_degree=0, max_terms=6):
     )
     words = draw(st.lists(word, min_size=1, max_size=max_terms))
     return NCSeries(ring, level, flavor, trunc, {
-        Word(level, flavor, tuple(w)): _coefficient(draw, ring) for w in words
+        tuple(w): _coefficient(draw, ring) for w in words
     })
 
 
@@ -210,7 +210,7 @@ def test_quotient_products_reject_unknown_ideals_and_jy_above_level_one():
 
 
 def _y_count(w):
-    return sum(1 for a in w.letters if a)
+    return sum(1 for a in w if a)
 
 
 def test_bch_mod_iy_multiplies_only_surviving_pairs(monkeypatch):
@@ -256,7 +256,7 @@ def test_bch_mod_iy_multiplies_only_surviving_pairs(monkeypatch):
         fit = [
             (w1, w2)
             for w1 in left.coeffs for w2 in right.coeffs
-            if len(w1.letters) + len(w2.letters) <= min(left.trunc, right.trunc)
+            if len(w1) + len(w2) <= min(left.trunc, right.trunc)
         ]
         kept = sum(1 for w1, w2 in fit if _y_count(w1) + _y_count(w2) <= 1)
         assert made == kept

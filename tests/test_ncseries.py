@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polydist.geometry import j_zeta_morphism, pi_morphism
+from polydist.lie import MOD_IY, MOD_JY, mul_mod
 from polydist.ncseries import AlgebraMorphism, NCSeries, SeriesError
 from polydist.scalars import QQ, PolyRing
 from polydist.words import (
@@ -15,6 +16,7 @@ from polydist.words import (
     empty_word,
     parse_word,
     words_up_to_degree,
+    wt_x,
 )
 
 TRUNC = 5
@@ -95,6 +97,18 @@ def test_mixed_context_rejected():
     xq = NCSeries.monomial(ring, X, 3)
     with pytest.raises(SeriesError):
         x1 + xq
+
+
+def test_keys_are_letter_tuples_of_the_series_alphabet():
+    xy = NCSeries.monomial(QQ, X * Y, TRUNC, 3)
+    assert xy.coeffs == {(0, 1): 3}
+    assert xy.coefficient((0, 1)) == xy.coefficient(X * Y) == 3
+    with pytest.raises(SeriesError, match="level-1 alphabet"):
+        NCSeries(QQ, LEVEL, FLAVOR_STANDARD, TRUNC, {(0, 2): Fraction(1)})
+    with pytest.raises(SeriesError, match="level-1 alphabet"):
+        NCSeries(QQ, LEVEL, FLAVOR_STANDARD, TRUNC, {(-1,): Fraction(1)})
+    with pytest.raises(SeriesError, match="does not match"):
+        xy.coefficient(parse_word("n=2,std:X.Y0"))
 
 
 def test_scale_and_map_coefficients():
@@ -182,7 +196,7 @@ def poly_series(draw):
             st.tuples(st.sampled_from(words), coeffs, coeffs), min_size=1, max_size=5
         )
     )
-    terms = {w: a * p + b * q + p * q for w, p, q in picks}
+    terms = {w.letters: a * p + b * q + p * q for w, p, q in picks}
     return NCSeries(POLY, LEVEL, FLAVOR_STANDARD, TRUNC, terms)
 
 
@@ -198,7 +212,7 @@ def letter_image(draw):
             max_size=3,
         )
     )
-    return NCSeries(QQ, LEVEL, FLAVOR_STANDARD, TRUNC, dict(picks))
+    return NCSeries(QQ, LEVEL, FLAVOR_STANDARD, TRUNC, {w.letters: c for w, c in picks})
 
 
 def _apply_by_lifting(phi, series):
@@ -213,7 +227,7 @@ def _apply_by_lifting(phi, series):
     out = NCSeries.zero(ring, phi.target_level, phi.target_flavor, trunc)
     for w, c in series.coeffs.items():
         img = NCSeries.one(ring, phi.target_level, phi.target_flavor, trunc)
-        for letter in w.letters:
+        for letter in w:
             img = img * lifted[letter]
         out = out + img.scale(c)
     return out
@@ -239,7 +253,7 @@ def _word_image_oracle(phi, word):
     """The per-word route ``word_images`` replaced, kept as the oracle: the
     product of the word's letter images, taken one by one from the start."""
     img = NCSeries.one(QQ, phi.target_level, phi.target_flavor, phi.trunc)
-    for letter in word.letters:
+    for letter in word:
         img = img * phi.images[letter]
         if img.is_zero():
             break
@@ -270,7 +284,7 @@ def morphism_and_words(draw):
     if draw(st.booleans()):
         words.append(())
     words.sort()
-    return phi, [Word(phi.source_level, flavor, w) for w in words]
+    return phi, words
 
 
 @given(morphism_and_words())
@@ -296,7 +310,169 @@ def test_word_images_make_one_product_per_trie_node(monkeypatch):
     # trie nodes below the root: Y0, Y0.X, Y0.X.Y1, Y1, Y1.Y1 -- the empty
     # word is the root, and a repeat or a listed prefix costs nothing more
     texts = ["", "Y0.X", "Y0.X", "Y0.X.Y1", "Y1", "Y1.Y1"]
-    words = [parse_word("n=2,std:" + t) for t in texts]
+    words = [parse_word("n=2,std:" + t).letters for t in texts]
     got = [w for w, _ in phi.word_images(words)]
     assert got == words
     assert len(calls) == 5
+
+
+# -- the Word-keyed routes that letter-tuple keys replaced, kept as oracles --
+
+
+def _word_keyed(series):
+    """The coefficients of ``series`` keyed by ``Word``, as series stored
+    them before they keyed on letter tuples."""
+    return {Word(series.level, series.flavor, w): c for w, c in series.coeffs.items()}
+
+
+def _word_product(ring, left, right, trunc, partners=None):
+    """``NCSeries._product`` on Word-keyed coefficient dicts, where each
+    target word is the concatenation ``w1 * w2`` of two validated Words."""
+    coeffs = {}
+    terms = right.items()
+    for w1, c1 in left.items():
+        d1 = len(w1.letters)
+        if d1 > trunc:
+            continue
+        for w2, c2 in terms if partners is None else partners(w1):
+            if d1 + len(w2.letters) > trunc:
+                continue
+            w = w1 * w2
+            c = c1 * c2
+            s = coeffs.get(w)
+            s = c if s is None else s + c
+            if ring.is_zero(s):
+                coeffs.pop(w, None)
+            else:
+                coeffs[w] = s
+    return coeffs
+
+
+def _word_mul_mod(a, b, which):
+    """``lie.mul_mod`` on Word keys: the partner lists of the quotient
+    product, built from each Word's letters."""
+
+    def y_count(w):
+        return len(w.letters) - wt_x(w)
+
+    if which == MOD_IY:
+        right = [t for t in _word_keyed(b).items() if y_count(t[0]) < 2]
+        by_y_count = (right, [t for t in right if y_count(t[0]) == 0], ())
+
+        def partners(w1):
+            return by_y_count[min(y_count(w1), 2)]
+
+    else:
+        right = [t for t in _word_keyed(b).items() if not any(t[0].letters[1:])]
+        pure_x = [t for t in right if not any(t[0].letters)]
+
+        def partners(w1):
+            if not w1.letters:
+                return right
+            return pure_x if not any(w1.letters[1:]) else ()
+
+    trunc = min(a.trunc, b.trunc)
+    return _word_product(a.ring, _word_keyed(a), _word_keyed(b), trunc, partners)
+
+
+def _word_apply(phi, series):
+    """``AlgebraMorphism.apply`` on Word keys: each source Word's image is
+    its longest shared prefix's image times its further letter images, and
+    each target Word sums its (coefficient, rational) pairs in one lincomb."""
+    ring = series.ring
+    trunc = min(phi.trunc, series.trunc)
+    images = {letter: _word_keyed(img) for letter, img in phi.images.items()}
+    stack = [{Word(phi.target_level, phi.target_flavor, ()): QQ.one}]
+    prev = ()
+    pairs = {}
+    coeffs = _word_keyed(series)
+    for w in sorted(coeffs, key=lambda u: u.letters):
+        k = 0
+        for a, b in zip(prev, w.letters):
+            if a != b:
+                break
+            k += 1
+        del stack[k + 1 :]
+        for letter in w.letters[k:]:
+            stack.append(_word_product(QQ, stack[-1], images[letter], phi.trunc))
+        prev = w.letters
+        for w2, q in stack[-1].items():
+            pairs.setdefault(w2, []).append((coeffs[w], q))
+    out = {w2: ring.lincomb(p) for w2, p in pairs.items()}
+    return {
+        w2: c for w2, c in out.items() if len(w2.letters) <= trunc and not ring.is_zero(c)
+    }
+
+
+def _coefficient(draw, ring):
+    if ring == QQ:
+        return draw(coeffs)
+    a, b = POLY.sym("a"), POLY.sym("b")
+    return a * draw(coeffs) + b * draw(coeffs) + draw(coeffs)
+
+
+@st.composite
+def _free_series(draw, ring, level, flavor, max_trunc=4):
+    """A series whose letter tuples are drawn freely, some of them longer
+    than its truncation, so it is in no quotient."""
+    trunc = draw(st.integers(0, max_trunc))
+    word = st.lists(st.integers(0, level), max_size=trunc + 1).map(tuple)
+    words = draw(st.lists(word, max_size=6))
+    return NCSeries(ring, level, flavor, trunc, {
+        w: _coefficient(draw, ring) for w in words
+    })
+
+
+@st.composite
+def _series_pair(draw, level=None):
+    level = draw(st.integers(1, 2)) if level is None else level
+    flavor = draw(st.sampled_from(FLAVORS))
+    ring = draw(st.sampled_from([QQ, POLY]))
+    return [draw(_free_series(ring, level, flavor)) for _ in range(2)]
+
+
+@given(_series_pair())
+@settings(max_examples=80, deadline=None)
+def test_tuple_keyed_product_matches_the_word_keyed_oracle(pair):
+    a, b = pair
+    want = _word_product(a.ring, _word_keyed(a), _word_keyed(b), min(a.trunc, b.trunc))
+    assert _word_keyed(a * b) == want
+
+
+@given(st.sampled_from([(MOD_IY, 1), (MOD_IY, 2), (MOD_JY, 1)]).flatmap(
+    lambda case: st.tuples(st.just(case[0]), _series_pair(case[1]))
+))
+@settings(max_examples=80, deadline=None)
+def test_tuple_keyed_quotient_product_matches_the_word_keyed_oracle(case):
+    which, (a, b) = case
+    assert _word_keyed(mul_mod(a, b, which)) == _word_mul_mod(a, b, which)
+
+
+@st.composite
+def _morphism_and_series(draw):
+    """A covering, a specialization or a random level-1 morphism, and a
+    series over QQ or a polynomial ring in its source algebra."""
+    flavor = draw(st.sampled_from(FLAVORS))
+    trunc = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["pi", "j_zeta", "random"]))
+    if kind == "pi":
+        r, n = draw(st.sampled_from([(1, 2), (1, 3), (2, 2)]))
+        phi = pi_morphism(r, n, trunc, flavor)
+    elif kind == "j_zeta":
+        n = draw(st.integers(2, 3))
+        phi = j_zeta_morphism(n, draw(st.integers(0, n - 1)), trunc, flavor)
+    else:
+        images = dict(zip(range(LEVEL + 1), draw(st.lists(
+            letter_image(), min_size=LEVEL + 1, max_size=LEVEL + 1
+        ))))
+        flavor = FLAVOR_STANDARD
+        phi = AlgebraMorphism(LEVEL, flavor, LEVEL, flavor, images, trunc)
+    ring = draw(st.sampled_from([QQ, POLY]))
+    return phi, draw(_free_series(ring, phi.source_level, flavor))
+
+
+@given(_morphism_and_series())
+@settings(max_examples=80, deadline=None)
+def test_tuple_keyed_apply_matches_the_word_keyed_oracle(case):
+    phi, series = case
+    assert _word_keyed(phi.apply(series)) == _word_apply(phi, series)

@@ -407,3 +407,17 @@ def test_vacuous_numeric_certificates_are_refused_before_any_work(
     monkeypatch.setattr(polylog_num, "mpl_series", no_work)
     with pytest.raises(ParameterError, match=message):
         engine(**kwargs)
+
+
+@pytest.mark.parametrize("r, n", [(0, 2), (1, 0), (1, -1), (-1, 3)])
+def test_numeric_distribution_refuses_a_level_below_1_before_any_work(
+    monkeypatch, r, n
+):
+    # n = 0 would evaluate at z^0 = 1 and fail as a convergence error
+    def no_work(*args, **kwargs):
+        raise AssertionError("a value was evaluated")
+
+    monkeypatch.setattr(polylog_num, "mpl_series", no_work)
+    monkeypatch.setattr(polylog_num, "enumerate_lifts", no_work)
+    with pytest.raises(ParameterError, match=f"got r = {r}, n = {n}"):
+        verify_numeric_distribution(r, n, 0.5)

@@ -118,9 +118,9 @@ def test_words_up_to_degree_is_sorted_and_unique():
 ])
 def test_words_depth_first_is_letter_tuple_order(level, max_degree, min_degree):
     for flavor in FLAVORS:
-        got = list(words_depth_first(level, flavor, max_degree, min_degree))
+        got = list(words_depth_first(level, max_degree, min_degree))
         want = words_up_to_degree(level, flavor, max_degree, min_degree)
-        assert got == sorted(want, key=lambda w: w.letters)
+        assert got == sorted(w.letters for w in want)
 
 
 @given(random_words(max_level=3, max_len=5), st.integers(2, 3))
