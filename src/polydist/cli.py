@@ -19,8 +19,11 @@ usage exits 2 with no report: that includes --word together with --all,
 --profile together with --jobs above 1, a --tol not above 0, a --jobs below
 1, a parameter an engine refuses (``ParameterError``: a degree, depth,
 --k-max or --trials below 1, since a flag given as 0 is passed on, not
-replaced by its default, and a level --r or --n below 1 for
-formal-distribution and numeric distribution) and a degree above the cap
+replaced by its default, a level --r or --n below 1 for
+formal-distribution and numeric distribution, a --level not above
+v_ell(--n) for measures pushforward, where the modulus is 1 and every
+congruence holds, and for numeric distribution a --z outside 0 < |z| < 1
+or a --word the evaluators refuse) and a degree above the cap
 that the environment variable POLYDIST_MAX_DEGREE sets, which binds
 eisenstein-specialization at depth 2·--k-max.  ``--jobs N`` runs the tasks
 in min(N, number of tasks) worker processes.  An engine that raises any

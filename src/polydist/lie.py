@@ -395,11 +395,11 @@ def beta_series(ring, degree):
 
 @lru_cache(maxsize=None)
 def bernoulli_number(k):
-    """B_k with B_1 = -1/2 (the t/(e^t-1) convention)."""
+    """B_k with B_1 = -1/2 (the t/(e^t-1) convention), always a Fraction."""
     from .scalars import QQ
 
     beta = beta_series(QQ, k)
-    return beta.coeffs[k] * factorial(k)
+    return Fraction(beta.coeffs[k] * factorial(k))
 
 
 def bernoulli_poly(k, ring, symbol="T"):

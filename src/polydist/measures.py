@@ -209,7 +209,8 @@ def verify_measure_pushforward(ell, m, n, trials=100, seed=0, depth=6):
     integrality and the congruence are tests of integer divisibility.
 
     Raises ParameterError, before any work, unless ell is prime, n >= 1,
-    trials >= 1, depth >= 1 and m - v_ell(n) >= 0."""
+    trials >= 1, depth >= 1 and m - v_ell(n) >= 1 (at 0 the modulus is 1 and
+    every congruence, the corruption control's included, holds vacuously)."""
     if not _is_prime(ell):
         raise ParameterError(f"ell = {ell} is not a prime")
     if n < 1:
@@ -219,9 +220,9 @@ def verify_measure_pushforward(ell, m, n, trials=100, seed=0, depth=6):
     if depth < 1:
         raise ParameterError(f"depth = {depth} must be >= 1")
     m_new = m - padic_valuation(n, ell)
-    if m_new < 0:
+    if m_new < 1:
         raise ParameterError(
-            f"target level m - v_ell(n) = {m_new} is negative for m = {m}, n = {n}"
+            f"target level m - v_ell(n) = {m_new} is below 1 for m = {m}, n = {n}"
         )
     report = VerificationReport(
         "measure-pushforward",

@@ -419,14 +419,22 @@ def verify_numeric_distribution(r, n, z, words=None, tol=1e-10, max_degree=3):
     """Numerical distribution relation at a point: for level-r words w,
     value(w at z^n) = n^(wt_x(w)) * sum of values over lifts(w, n) at z.
 
-    Raises ParameterError, before any work, for r or n below 1 and for a
-    given word whose level is not r."""
+    Raises ParameterError, before any work, for r or n below 1, for z
+    outside 0 < |z| < 1 (z = 0 would pass vacuously and |z| >= 1 is outside
+    the series evaluator) and for a given word that is not at level r or
+    that the evaluators refuse (``_validate_word``)."""
     if r < 1 or n < 1:
         raise ParameterError(f"levels must be >= 1, got r = {r}, n = {n}")
+    z = complex(z)
+    if not 0 < abs(z) < 1:
+        raise ParameterError(f"z = {z} must satisfy 0 < |z| < 1")
     for w in words or ():
         if w.level != r:
             raise ParameterError(f"word {w} is not at level r = {r}")
-    z = complex(z)
+        try:
+            _validate_word(w)
+        except DivergentWordError as exc:
+            raise ParameterError(str(exc)) from None
     report = VerificationReport(
         "numeric-distribution",
         {"r": r, "n": n, "z": str(z), "tol": tol},

@@ -3,7 +3,9 @@
 Two rings share one informal protocol (``zero``, ``one``, ``from_int``,
 ``from_fraction``, ``is_zero``, ``coerce``, ``lincomb``):
 
-- ``QQ`` — the rationals, with plain ``fractions.Fraction`` elements;
+- ``QQ`` — the rationals, with plain ``int`` and ``fractions.Fraction``
+  elements: a value stays an ``int`` until a division makes it a
+  ``Fraction``, and nothing is converted on the way in;
 - ``PolyRing`` — sparse multivariate polynomials over the rationals in a
   fixed, registered set of named generators (fresh symbols must be declared
   up front, so a typo in a symbol name is an error, never a silent new
@@ -19,12 +21,16 @@ A polynomial keeps integer numerators over one positive denominator in
 lowest terms, so its arithmetic is integer work: a product convolves the
 numerators over the product of the denominators, a sum or ``lincomb``
 rescales each operand by lcm // den, and one gcd pass reduces the result.
-``Fraction`` appears only at the boundary (``terms``, printing).
+A monomial is the sorted tuple of its generator indices, each repeated by
+its exponent (chi^2·rho is ``(0, 0, 1)``), so its degree is ``len`` and a
+product of monomials is ``tuple(sorted(m1 + m2))``.  ``Fraction`` appears
+only at the boundary (``terms``, printing).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from math import gcd, lcm
 
 
@@ -36,42 +42,34 @@ class UnknownSymbolError(KeyError):
     """Raised when a symbol name was never registered with the ring."""
 
 
-def _as_fraction(x):
-    if isinstance(x, Fraction):
+def _rational(x):
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
 class RationalField:
-    """The field of rationals; elements are plain Fraction objects."""
+    """The field of rationals; elements are plain ints and Fractions."""
 
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
-
-    def from_int(self, n):
-        return Fraction(n)
+    zero = 0
+    one = 1
 
     def from_fraction(self, q):
-        return _as_fraction(q)
+        return _rational(q)
+
+    from_int = from_fraction
 
     def is_zero(self, a):
         return a == 0
 
     def coerce(self, x):
         if isinstance(x, (int, Fraction)):
-            return Fraction(x)
+            return x
         raise RingMismatchError(f"cannot coerce {x!r} into QQ")
 
     def lincomb(self, pairs):
         """Sum of q·p over ``(p, q)`` pairs, q rational."""
-        total = Fraction(0)
+        total = 0
         for p, q in pairs:
             total += self.coerce(p) * q
         return total
@@ -112,7 +110,7 @@ class PolyRing:
         return _poly(self, {(): 1}, 1)
 
     def from_fraction(self, q):
-        q = _as_fraction(q)
+        q = _rational(q)
         return _poly(self, {(): q.numerator}, q.denominator)
 
     from_int = from_fraction
@@ -122,11 +120,7 @@ class PolyRing:
             i = self.index[name]
         except KeyError:
             raise UnknownSymbolError(f"symbol {name!r} not registered") from None
-        return _poly(self, {((i, 1),): 1}, 1)
-
-    def monomial(self, exps, coeff=1):
-        coeff = _as_fraction(coeff)
-        return _poly(self, {tuple(exps): coeff.numerator}, coeff.denominator)
+        return _poly(self, {(i,): 1}, 1)
 
     def is_zero(self, a):
         return not a.nums
@@ -169,17 +163,18 @@ class PolyRing:
         return hash(("PolyRing", self.gens))
 
 
-def _term_key(exps):
-    # graded order: total degree first, then exponent vector
-    return (sum(e for _, e in exps), exps)
+def _runs(m):
+    """The ``(generator index, exponent)`` runs of the monomial ``m``."""
+    return tuple((i, len(list(g))) for i, g in groupby(m))
 
 
 class SymbolicPoly:
     """Sparse polynomial sum(nums[m]·m) / den with int numerators.
 
-    A monomial m is a tuple ((gen_index, exp), ...) sorted by generator
-    index with no zero exponents.  The form is canonical: no numerator is
-    zero, den > 0, gcd(den, *nums) == 1 and the zero polynomial has den 1.
+    A monomial m is the sorted tuple of its generator indices, each
+    repeated by its exponent; ``()`` is the constant monomial.  The form is
+    canonical: no numerator is zero, den > 0, gcd(den, *nums) == 1 and the
+    zero polynomial has den 1.
     ``SymbolicPoly(ring, terms)`` builds one from ``{monomial: Fraction}``.
     """
 
@@ -245,7 +240,7 @@ class SymbolicPoly:
         acc = {}
         for m1, a in self.nums.items():
             for m2, b in nums2:
-                m = _mul_monomials(m1, m2)
+                m = tuple(sorted(m1 + m2))
                 acc[m] = acc.get(m, 0) + a * b
         return _poly(self.ring, acc, self.den * other.den)
 
@@ -290,17 +285,17 @@ class SymbolicPoly:
             by_index[self.ring.index[name]] = self.ring.coerce(val)
         pairs = []
         for m, c in self.terms.items():
-            kept = tuple((i, e) for i, e in m if i not in by_index)
-            factor = self.ring.monomial(kept)
-            for i, e in m:
+            kept = tuple(i for i in m if i not in by_index)
+            factor = _poly(self.ring, {kept: 1}, 1)
+            for i in m:
                 if i in by_index:
-                    factor = factor * by_index[i] ** e
+                    factor = factor * by_index[i]
             pairs.append((factor, c))
         return self.ring.lincomb(pairs)
 
     def symbols(self):
         """Sorted names of the generators actually occurring."""
-        seen = {i for m in self.nums for i, _ in m}
+        seen = {i for m in self.nums for i in m}
         return [self.ring.gens[i] for i in sorted(seen)]
 
     def coefficient_of(self, name):
@@ -314,9 +309,8 @@ class SymbolicPoly:
         idx = self.ring.index[name]
         nums = {}
         for m, a in self.nums.items():
-            rest = tuple((i, e) for i, e in m if i != idx)
-            hit = [e for i, e in m if i == idx]
-            if hit == [1]:
+            if m.count(idx) == 1:
+                rest = tuple(i for i in m if i != idx)
                 nums[rest] = nums.get(rest, 0) + a
         return _poly(self.ring, nums, self.den)
 
@@ -324,10 +318,13 @@ class SymbolicPoly:
         if not self.nums:
             return "0"
         parts = []
-        for m, c in sorted(self.terms.items(), key=lambda t: _term_key(t[0])):
+        # graded order: degree first, then the (index, exponent) runs
+        for m, c in sorted(
+            self.terms.items(), key=lambda t: (len(t[0]), _runs(t[0]))
+        ):
             names = "*".join(
                 f"{self.ring.gens[i]}^{e}" if e > 1 else self.ring.gens[i]
-                for i, e in m
+                for i, e in _runs(m)
             )
             if not names:
                 parts.append(str(c))
@@ -356,13 +353,3 @@ def _poly(ring, nums, den, p=None):
     p.ring, p.nums, p.den = ring, nums, den
     return p
 
-
-def _mul_monomials(m1, m2):
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    exps = dict(m1)
-    for i, e in m2:
-        exps[i] = exps.get(i, 0) + e
-    return tuple(sorted(exps.items()))

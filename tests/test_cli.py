@@ -547,6 +547,16 @@ def test_a_tolerance_not_above_0_is_refused_at_parse_time(capsys, monkeypatch, t
         (("measures", "pushforward", "--trials", "0"), "trials = 0 must be >= 1"),
         (("verify", "eisenstein-specialization", "--k-max", "0"),
          "k_max = 0 must be >= 1"),
+        (("measures", "pushforward", "--level", "0"), "m - v_ell(n) = 0 is below 1"),
+        (("measures", "pushforward", "--ell", "3", "--n", "3", "--level", "1"),
+         "m - v_ell(n) = 0 is below 1"),
+        (("numeric", "distribution", "--z", "0"), "z = 0j must satisfy 0 < |z| < 1"),
+        (("numeric", "distribution", "--z", "1.5"), "must satisfy 0 < |z| < 1"),
+        (("numeric", "distribution", "--z", "0.6,0.8"), "must satisfy 0 < |z| < 1"),
+        (("numeric", "distribution", "--word", "n=1,til:Y0"), "standard-flavor words"),
+        (("numeric", "distribution", "--word", "n=1,std:"), "the empty word"),
+        (("numeric", "distribution", "--word", "n=1,std:Y0", "--word", "n=1,std:X.Y0"),
+         "starts with X"),
     ],
 )
 def test_a_vacuous_certificate_is_a_usage_error(capsys, argv, message):

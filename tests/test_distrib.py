@@ -279,7 +279,7 @@ def _formal_distribution_oracle(r, n, degree, flavor):
         max_len = 0
         clean = True
         for mono in residual.terms:
-            for idx, exp in mono:
+            for idx in mono:
                 max_len = max(max_len, len_of_gen[idx])
                 if len_of_gen[idx] >= len(w.letters):
                     clean = False

@@ -1,11 +1,19 @@
-"""Integer polynomial arithmetic against the route it replaced.
+"""Exact scalars against the routes they replaced.
 
 A ``SymbolicPoly`` keeps integer numerators over one denominator in lowest
 terms, so sums, products and ``PolyRing.lincomb`` are integer work, and
-``NCSeries.scale`` by a rational goes through ``lincomb``.  The oracles
-below are the old bodies, which combined ``Fraction``s pair by pair (and
+``NCSeries.scale`` by a rational goes through ``lincomb``.  The first
+oracles are the old bodies, which combined ``Fraction``s pair by pair (and
 scaled a series through a product with a constant polynomial); the
-properties at the end check that every result is in the canonical form.
+properties after them check that every result is in the canonical form.
+
+A monomial is the sorted tuple of its generator indices; the
+``(index, exponent)`` form it replaced, with its product rule, is kept
+below as the oracle for products, sums, ``lincomb``, ``substitute``,
+``coefficient_of``, ``symbols`` and printing.  ``QQ`` values are plain
+``int``s until a division makes them ``Fraction``s; the ``RationalField``
+that coerced every value into a ``Fraction`` is kept as the oracle for
+series products, morphisms, exp, log and BCH over ``QQ``.
 """
 
 from contextlib import ExitStack
@@ -15,10 +23,34 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from polydist.lie import MOD_IY, bch
+from polydist.geometry import j_zeta_morphism, pi_morphism
+from polydist.lie import MOD_IY, MOD_JY, bch, bernoulli_number, exp_mod, log_mod
 from polydist.ncseries import NCSeries
-from polydist.scalars import PolyRing, SymbolicPoly, _mul_monomials
-from polydist.words import FLAVORS
+from polydist.scalars import QQ, PolyRing, RationalField, SymbolicPoly
+from polydist.words import FLAVOR_TILDE, FLAVORS
+
+
+def _mul_monomials(m1, m2):
+    """The product of two ``(index, exponent)`` monomials, the form a
+    monomial had before it became the sorted tuple of its indices."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    exps = dict(m1)
+    for i, e in m2:
+        exps[i] = exps.get(i, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+def _pairs(m):
+    """Index tuple -> ``(index, exponent)`` pairs: (0, 0, 2) -> ((0, 2), (2, 1))."""
+    return tuple((i, m.count(i)) for i in sorted(set(m)))
+
+
+def _indices(pairs):
+    """``(index, exponent)`` pairs -> the sorted index tuple."""
+    return tuple(i for i, e in pairs for _ in range(e))
 
 
 def _add_oracle(self, other):
@@ -42,7 +74,7 @@ def _mul_oracle(self, other):
     terms = {}
     for m1, c1 in self.terms.items():
         for m2, c2 in other.terms.items():
-            m = _mul_monomials(m1, m2)
+            m = _indices(_mul_monomials(_pairs(m1), _pairs(m2)))
             s = terms.get(m, Fraction(0)) + c1 * c2
             if s:
                 terms[m] = s
@@ -91,7 +123,7 @@ rationals = st.one_of(
 )
 # exponents 0..2 in a, b, c; the empty monomial is the constant term
 monomials = st.tuples(*[st.integers(0, 2)] * 3).map(
-    lambda es: tuple((i, e) for i, e in enumerate(es) if e)
+    lambda es: tuple(i for i, e in enumerate(es) for _ in range(e))
 )
 polys = st.dictionaries(monomials, rationals, max_size=6).map(
     lambda terms: SymbolicPoly(RING, terms)
@@ -204,3 +236,251 @@ def test_comparison_with_fractions_and_ints(c, n, p):
     constant = set(p.terms) <= {()}
     value = p.terms.get((), Fraction(0))
     assert (p == value) == constant
+
+
+# -- monomials: the (index, exponent) form as the oracle -------------------
+
+
+def _pair_terms(p):
+    """``p`` as ``{(index, exponent) monomial: Fraction}``."""
+    return {_pairs(m): c for m, c in p.terms.items()}
+
+
+def _pair_lincomb(pairs):
+    out = {}
+    for terms, q in pairs:
+        for m, c in terms.items():
+            out[m] = out.get(m, 0) + q * c
+    return {m: c for m, c in out.items() if c}
+
+
+def _pair_mul(t1, t2):
+    out = {}
+    for m1, c1 in t1.items():
+        for m2, c2 in t2.items():
+            m = _mul_monomials(m1, m2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _pair_substitute(terms, by_index):
+    pairs = []
+    for m, c in terms.items():
+        factor = {tuple((i, e) for i, e in m if i not in by_index): Fraction(1)}
+        for i, e in m:
+            if i in by_index:
+                for _ in range(e):
+                    factor = _pair_mul(factor, by_index[i])
+        pairs.append((factor, c))
+    return _pair_lincomb(pairs)
+
+
+def _pair_coefficient_of(terms, idx):
+    out = {}
+    for m, c in terms.items():
+        if [e for i, e in m if i == idx] == [1]:
+            rest = tuple((i, e) for i, e in m if i != idx)
+            out[rest] = out.get(rest, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _pair_symbols(ring, terms):
+    return [ring.gens[i] for i in sorted({i for m in terms for i, _ in m})]
+
+
+def _pair_str(ring, terms):
+    if not terms:
+        return "0"
+    parts = []
+    # graded order: total degree first, then exponent vector
+    for m, c in sorted(terms.items(), key=lambda t: (sum(e for _, e in t[0]), t[0])):
+        names = "*".join(
+            f"{ring.gens[i]}^{e}" if e > 1 else ring.gens[i] for i, e in m
+        )
+        if not names:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(names)
+        elif c == -1:
+            parts.append(f"-{names}")
+        else:
+            parts.append(f"{c}*{names}")
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+@given(
+    polys,
+    polys,
+    operands,
+    st.lists(st.tuples(operands, st.one_of(rationals, st.integers(-5, 5))), max_size=4),
+    st.sampled_from(RING.gens),
+)
+@settings(max_examples=150, deadline=None)
+def test_index_tuple_monomials_match_the_pair_form(p, q, c, pairs, name):
+    tp, tq = _pair_terms(p), _pair_terms(q)
+    assert SymbolicPoly(RING, {_indices(m): v for m, v in tp.items()}) == p
+    assert _pair_terms(p * q) == _pair_mul(tp, tq)
+    assert _pair_terms(p + q) == _pair_lincomb([(tp, 1), (tq, 1)])
+    assert _pair_terms(p - q) == _pair_lincomb([(tp, 1), (tq, -1)])
+    assert _pair_terms(RING.lincomb(pairs)) == _pair_lincomb(
+        [(_pair_terms(RING.coerce(a)), v) for a, v in pairs]
+    )
+    point = {name: q, "c": c}
+    by_index = {RING.index[k]: _pair_terms(RING.coerce(v)) for k, v in point.items()}
+    assert _pair_terms(p.substitute(point)) == _pair_substitute(tp, by_index)
+    for r in (p, p * q, p * p * q):
+        tr = _pair_terms(r)
+        assert _pair_terms(r.coefficient_of(name)) == _pair_coefficient_of(
+            tr, RING.index[name]
+        )
+        assert r.symbols() == _pair_symbols(RING, tr)
+        assert str(r) == _pair_str(RING, tr)
+
+
+def test_a_monomial_is_the_sorted_tuple_of_its_generator_indices():
+    a, b, c = (RING.sym(g) for g in RING.gens)
+    assert (c * a * a * b).nums == {(0, 0, 1, 2): 1}
+    assert str(a * a * b + a * b * b + c) == "c + a*b^2 + a^2*b"
+
+
+# -- QQ: the Fraction-coercing RationalField as the oracle -----------------
+
+
+def _as_fraction(x):
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+
+class _FractionField:
+    """The ``RationalField`` bodies that turned every int into a Fraction."""
+
+    zero = property(lambda self: Fraction(0))
+    one = property(lambda self: Fraction(1))
+
+    def from_int(self, n):
+        return Fraction(n)
+
+    def from_fraction(self, q):
+        return _as_fraction(q)
+
+    def coerce(self, x):
+        if isinstance(x, (int, Fraction)):
+            return Fraction(x)
+        raise TypeError(f"cannot coerce {x!r} into QQ")
+
+    def lincomb(self, pairs):
+        total = Fraction(0)
+        for p, q in pairs:
+            total += self.coerce(p) * q
+        return total
+
+
+def _fraction_field():
+    """Patches that put ``QQ`` back on the Fraction-coercing bodies."""
+    return [
+        mock.patch.object(RationalField, name, getattr(_FractionField, name))
+        for name in ("zero", "one", "from_int", "from_fraction", "coerce", "lincomb")
+    ]
+
+
+qq_values = st.one_of(
+    st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=6)
+)
+
+
+@st.composite
+def _qq_case(draw):
+    """Raw coefficient dicts for two Lie-degree series and one source series
+    of a covering or specialization morphism, with that morphism's recipe."""
+    flavor = draw(st.sampled_from(FLAVORS))
+    trunc = draw(st.integers(2, 4))
+    level = draw(st.integers(1, 2))
+    which = draw(st.sampled_from([None, MOD_IY] + ([MOD_JY] if level == 1 else [])))
+
+    def raw(level, min_degree):
+        word = st.integers(min_degree, trunc).flatmap(
+            lambda d: st.lists(st.integers(0, level), min_size=d, max_size=d)
+        )
+        picks = draw(st.lists(st.tuples(word, qq_values), min_size=1, max_size=5))
+        return {tuple(w): c for w, c in picks}
+
+    if draw(st.booleans()):
+        r, n = draw(st.sampled_from([(1, 2), (1, 3), (2, 2)]))
+        morphism, source_level = (pi_morphism, (r, n, trunc, flavor)), r * n
+    else:
+        n = draw(st.integers(2, 3))
+        recipe = (n, draw(st.integers(0, n - 1)), trunc, flavor)
+        morphism, source_level = (j_zeta_morphism, recipe), n
+    return {
+        "level": level,
+        "flavor": flavor,
+        "trunc": trunc,
+        "which": which,
+        "s": raw(level, 1),
+        "t": raw(level, 1),
+        "source": raw(source_level, 0),
+        "source_level": source_level,
+        "morphism": morphism,
+    }
+
+
+def _qq_results(case):
+    """Every QQ result the case asks for, built from its raw dicts through
+    ``QQ`` so that the ring in force decides the coefficient types."""
+    level, flavor, trunc = case["level"], case["flavor"], case["trunc"]
+    which = case["which"]
+
+    def series(raw, level):
+        coeffs = {w: QQ.coerce(c) for w, c in raw.items()}
+        return NCSeries(QQ, level, flavor, trunc, coeffs)
+
+    s, t = series(case["s"], level), series(case["t"], level)
+    build, recipe = case["morphism"]
+    phi = build(*recipe)
+    return [
+        s * t,
+        s.scale(Fraction(1, 3)) + t.scale(2),
+        exp_mod(s, which),
+        log_mod(NCSeries.one(QQ, level, flavor, trunc) + s, which),
+        bch(s, t, which),
+        phi.apply(series(case["source"], case["source_level"])),
+        phi.images[1],
+    ]
+
+
+@given(_qq_case())
+@settings(max_examples=80, deadline=None)
+def test_qq_results_match_the_fraction_field(case):
+    got = _qq_results(case)
+    with ExitStack() as stack:
+        for patch in _fraction_field():
+            stack.enter_context(patch)
+        want = _qq_results(case)
+        assert all(type(c) is Fraction for r in want for c in r.coeffs.values())
+    assert got == want
+    assert [str(r) for r in got] == [str(r) for r in want]
+    # every QQ coefficient is an int or a Fraction: never a float or a bool
+    assert all(type(c) in (int, Fraction) for r in got for c in r.coeffs.values())
+
+
+@given(_qq_case())
+@settings(max_examples=40, deadline=None)
+def test_tilde_images_of_integer_series_stay_int(case):
+    build, (*head, trunc, _) = case["morphism"]
+    phi = build(*head, trunc, FLAVOR_TILDE)
+    raw = {w: c for w, c in case["source"].items() if type(c) is int}
+    out = phi.apply(NCSeries(QQ, phi.source_level, FLAVOR_TILDE, trunc, raw))
+    assert all(type(c) is int for c in out.coeffs.values())
+
+
+def test_qq_is_plain_ints_and_fractions():
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    for x in (0, -3, 10**40, Fraction(2, 4)):
+        assert QQ.coerce(x) is x and QQ.from_int(x) is x and QQ.from_fraction(x) is x
+    assert type(QQ.lincomb([])) is int
+    assert type(QQ.lincomb([(3, 2), (5, -1)])) is int
+    assert QQ.lincomb([(3, 2), (Fraction(1, 2), 4)]) == 8
+    assert [type(bernoulli_number(k)) for k in range(21)] == [Fraction] * 21

@@ -189,7 +189,9 @@ def test_bernoulli_congruence_rejects_bad_input():
 
 @pytest.mark.parametrize(
     "ell, m, n, depth",
-    [(4, 2, 2, 6), (1, 2, 2, 6), (3, 2, 0, 6), (3, 2, 2, 0), (3, 0, 3, 6), (2, 1, 4, 6)],
+    [(4, 2, 2, 6), (1, 2, 2, 6), (3, 2, 0, 6), (3, 2, 2, 0), (3, 0, 3, 6), (2, 1, 4, 6),
+     # m - v_ell(n) = 0: modulo ell^0 = 1 every congruence holds vacuously
+     (3, 0, 2, 6), (3, 1, 3, 6), (2, 2, 4, 6), (5, 1, 10, 6)],
 )
 def test_verify_pushforward_refuses_parameters_before_any_work(
     monkeypatch, ell, m, n, depth

@@ -395,12 +395,27 @@ def test_cross_oracle_depth4_reach(seed):
         (verify_numeric_calibration, {"k_max": 0}, "k_max = 0 must be >= 1"),
         (verify_numeric_cross_oracle, {"trials": 0}, "trials = 0 must be >= 1"),
         (verify_numeric_cross_oracle, {"trials": -3}, "trials = -3 must be >= 1"),
+        (verify_numeric_distribution, {"r": 1, "n": 2, "z": 0}, r"0 < \|z\| < 1"),
+        (verify_numeric_distribution, {"r": 1, "n": 2, "z": 1.5}, r"0 < \|z\| < 1"),
+        (verify_numeric_distribution, {"r": 1, "n": 2, "z": 0.6 + 0.8j},
+         r"0 < \|z\| < 1"),
+        (verify_numeric_distribution,
+         {"r": 1, "n": 2, "z": 0.5, "words": [parse_word("n=1,til:Y0")]},
+         "standard-flavor words"),
+        (verify_numeric_distribution,
+         {"r": 1, "n": 2, "z": 0.5, "words": [parse_word("n=1,std:")]},
+         "the empty word"),
+        (verify_numeric_distribution,
+         {"r": 1, "n": 2, "z": 0.5, "words": [parse_word("n=1,std:X.Y0")]},
+         "starts with X"),
     ],
 )
 def test_vacuous_numeric_certificates_are_refused_before_any_work(
     monkeypatch, engine, kwargs, message
 ):
-    # with no point or no query these reports would pass on nothing
+    # with no point or no query these reports would pass on nothing; a point
+    # outside the unit disc or a word the evaluators refuse ends in an engine
+    # error
     def no_work(*args, **kwargs):
         raise AssertionError("a value was evaluated")
 
