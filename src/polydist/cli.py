@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from math import gcd
 
 from . import distrib, measures, polylog_num
@@ -286,6 +285,8 @@ def main(argv=None):
 
     try:
         if args.jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             # the pool starts all its workers at once: no more than tasks
             with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
                 reports = list(pool.map(_run_or_error, tasks))

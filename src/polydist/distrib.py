@@ -48,6 +48,7 @@ from .scalars import QQ, PolyRing
 from .words import (
     FLAVOR_STANDARD,
     FLAVOR_TILDE,
+    FLAVORS,
     Word,
     reduce_letters,
     words_depth_first,
@@ -157,6 +158,8 @@ def verify_formal_distribution(r=1, n=2, degree=6, flavor=FLAVOR_TILDE):
     _check_degree(degree)
     if r < 1 or n < 1:
         raise ParameterError(f"levels must be >= 1, got r = {r}, n = {n}")
+    if flavor not in FLAVORS:
+        raise ParameterError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
     rn = r * n
     report = VerificationReport(
         "formal-distribution",

@@ -272,10 +272,6 @@ class GenSeries:
         return cls(ring, [ring.zero] * (degree + 1))
 
     @classmethod
-    def one(cls, ring, degree):
-        return cls(ring, [ring.one] + [ring.zero] * degree)
-
-    @classmethod
     def exp_linear(cls, ring, c, degree):
         """exp(c*t) truncated: sum_k c^k/k! t^k."""
         c = ring.coerce(c)
@@ -387,10 +383,7 @@ def beta_series(ring, degree):
     expm1_over_t = GenSeries(
         QQ, [Fraction(1, factorial(k + 1)) for k in range(degree + 1)]
     )
-    beta = expm1_over_t.inverse()
-    if ring == QQ:
-        return beta
-    return GenSeries(ring, [ring.from_fraction(c) for c in beta.coeffs])
+    return GenSeries(ring, expm1_over_t.inverse().coeffs)  # coerced into ring
 
 
 @lru_cache(maxsize=None)
@@ -400,14 +393,6 @@ def bernoulli_number(k):
 
     beta = beta_series(QQ, k)
     return Fraction(beta.coeffs[k] * factorial(k))
-
-
-def bernoulli_poly(k, ring, symbol="T"):
-    """B_k(T) = sum_j C(k, j) B_j T^(k-j) over the given polynomial ring."""
-    t = ring.sym(symbol)
-    return ring.lincomb(
-        (t ** (k - j), comb(k, j) * bernoulli_number(j)) for j in range(k + 1)
-    )
 
 
 def bernoulli_poly_eval(k, x):

@@ -72,10 +72,6 @@ class FiniteMeasure:
             )
         object.__setattr__(self, "offset", Fraction(self.offset))
 
-    @property
-    def size(self):
-        return self.ell**self.m
-
     def mass(self):
         return sum(self.values)
 
@@ -93,22 +89,6 @@ class FiniteMeasure:
             tuple(a + b for a, b in zip(self.values, other.values)),
         )
 
-    def to_json_dict(self):
-        return {
-            "ell": self.ell,
-            "m": self.m,
-            "offset": str(self.offset),
-            "values": list(self.values),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data):
-        return cls(
-            int(data["ell"]),
-            int(data["m"]),
-            Fraction(data["offset"]),
-            tuple(int(v) for v in data["values"]),
-        )
 
 
 def random_measure(ell, m, offset, rng, max_mass=None):

@@ -91,16 +91,10 @@ class NCSeries:
         return self.coeffs.get((), self.ring.zero)
 
     def support(self):
-        return sorted(self.coeffs, key=lambda w: (len(w), w))  # Word order
+        return sorted(self.coeffs, key=lambda w: (len(w), w))  # length, then letters
 
     def is_zero(self):
         return not self.coeffs
-
-    def min_degree(self):
-        """Smallest degree with a nonzero term; trunc+1 for the zero series."""
-        if not self.coeffs:
-            return self.trunc + 1
-        return min(map(len, self.coeffs))
 
     def homogeneous_component(self, d):
         return self._like({w: c for w, c in self.coeffs.items() if len(w) == d})
@@ -278,12 +272,6 @@ class AlgebraMorphism:
                 )
             self.images[letter] = img.truncate(min(trunc, img.trunc))
 
-    def letter_image(self, letter):
-        try:
-            return self.images[letter]
-        except KeyError:
-            raise SeriesError(f"letter {letter} is not in the source alphabet")
-
     def word_images(self, words):
         """Yield ``(letters, image)`` for each source letter tuple, in order.
 
@@ -332,23 +320,6 @@ class AlgebraMorphism:
         )
 
     __call__ = apply
-
-    def compose(self, inner):
-        """self ∘ inner (apply ``inner`` first)."""
-        if (
-            inner.target_level != self.source_level
-            or inner.target_flavor != self.source_flavor
-        ):
-            raise SeriesError("morphism endpoints do not compose")
-        images = {l: self.apply(img) for l, img in inner.images.items()}
-        return AlgebraMorphism(
-            inner.source_level,
-            inner.source_flavor,
-            self.target_level,
-            self.target_flavor,
-            images,
-            min(self.trunc, inner.trunc),
-        )
 
     def __repr__(self):
         return (

@@ -1,7 +1,8 @@
 """Exact coefficient rings for the series machinery.
 
-Two rings share one informal protocol (``zero``, ``one``, ``from_int``,
-``from_fraction``, ``is_zero``, ``coerce``, ``lincomb``):
+Two rings share one informal protocol of five members: ``zero``, ``one``,
+``is_zero``, ``coerce`` (an ``int``/``Fraction``, or an element of the
+ring, into the ring) and ``lincomb``:
 
 - ``QQ`` — the rationals, with plain ``int`` and ``fractions.Fraction``
   elements: a value stays an ``int`` until a division makes it a
@@ -53,11 +54,6 @@ class RationalField:
 
     zero = 0
     one = 1
-
-    def from_fraction(self, q):
-        return _rational(q)
-
-    from_int = from_fraction
 
     def is_zero(self, a):
         return a == 0
@@ -112,8 +108,6 @@ class PolyRing:
     def from_fraction(self, q):
         q = _rational(q)
         return _poly(self, {(): q.numerator}, q.denominator)
-
-    from_int = from_fraction
 
     def sym(self, name):
         try:
@@ -292,11 +286,6 @@ class SymbolicPoly:
                     factor = factor * by_index[i]
             pairs.append((factor, c))
         return self.ring.lincomb(pairs)
-
-    def symbols(self):
-        """Sorted names of the generators actually occurring."""
-        seen = {i for m in self.nums for i in m}
-        return [self.ring.gens[i] for i in sorted(seen)]
 
     def coefficient_of(self, name):
         """Coefficient polynomial of the degree-1 power of ``name``.

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import total_ordering
 
 FLAVOR_STANDARD = "std"
 FLAVOR_TILDE = "til"
@@ -34,14 +33,12 @@ def render_letters(letters):
     return ".".join("X" if a == 0 else f"Y{a - 1}" for a in letters)
 
 
-@total_ordering
 @dataclass(frozen=True)
 class Word:
     """A word in the level alphabet; the monomial basis of the series algebra.
 
     ``letters`` is a tuple of ints in ``range(level + 1)``.  The level/flavor
     live on the word itself so that the empty word is still tagged.
-    Ordering is graded: first by length, then letterwise.
     """
 
     level: int
@@ -60,14 +57,6 @@ class Word:
                     "(0 is X, 1 + i is Y_i)"
                 )
 
-    def sort_key(self):
-        return (len(self.letters), self.letters)
-
-    def __lt__(self, other):
-        if not isinstance(other, Word):
-            return NotImplemented
-        return self.sort_key() < other.sort_key()
-
     def __mul__(self, other):
         if not isinstance(other, Word):
             return NotImplemented
@@ -82,12 +71,10 @@ class Word:
         return self.render()
 
 
-def empty_word(level, flavor=FLAVOR_STANDARD):
-    return Word(level, flavor, ())
-
-
 def parse_word(text):
-    """Inverse of Word.render: ``n=2,std:Y0.X`` -> Word."""
+    """Inverse of Word.render: ``n=2,std:Y0.X`` -> Word.  Text that the
+    parsed word does not render back to exactly (``n=2,std``, ``Y01``,
+    ``Y+1``, ``n=+2``) raises WordError."""
     try:
         head, _, body = text.partition(":")
         level_part, _, flavor = head.partition(",")
@@ -103,11 +90,14 @@ def parse_word(text):
                     letters.append(1 + int(tok[1:]))
                 else:
                     raise WordError(f"bad letter token {tok!r}")
-        return Word(level, flavor, tuple(letters))
-    except (ValueError, IndexError) as exc:
-        if isinstance(exc, WordError):
-            raise
+        word = Word(level, flavor, tuple(letters))
+    except WordError:
+        raise
+    except ValueError as exc:
         raise WordError(f"cannot parse word {text!r}: {exc}") from exc
+    if word.render() != text:
+        raise WordError(f"cannot parse word {text!r}: it renders as {word.render()!r}")
+    return word
 
 
 def wt_x(w):
@@ -141,13 +131,6 @@ def words_depth_first(level, max_degree, min_degree=0):
 def reduce_letters(letters, r):
     """X stays X; the puncture index reduces mod r."""
     return tuple(1 + (a - 1) % r if a else 0 for a in letters)
-
-
-def reduce_mod_r(w, r):
-    """Project a word from level n·r down to level r.  Requires r | level."""
-    if w.level % r != 0:
-        raise WordError(f"level {w.level} is not divisible by {r}")
-    return Word(r, w.flavor, reduce_letters(w.letters, r))
 
 
 def enumerate_lifts(w, n):

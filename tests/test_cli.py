@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: selectors, reports, determinism, exit codes."""
 
+import concurrent.futures
 import json
 import subprocess
 import sys
@@ -10,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from polydist import cli
+from polydist import cli, distrib
 from polydist.ncseries import SeriesError
+from polydist.report import ParameterError
 
 BASE = [sys.executable, "-m", "polydist.cli"]
 
@@ -127,6 +129,34 @@ def test_unparsable_word_exits_2():
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "bad word header 'garbage'" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "word", ["n=1,std", "n=1,std:Y+0", "n=1,std:Y00", "n=+1,std:Y0"]
+)
+def test_word_that_does_not_render_back_exits_2(capsys, word):
+    code, out = _main(capsys, "numeric", "distribution", "--word", word)
+    assert code == 2
+    assert out.out == ""
+    assert f"cannot parse word {word!r}" in out.err
+    assert "empty word" not in out.err
+
+
+def test_an_unknown_flavor_is_refused_before_any_work(monkeypatch):
+    monkeypatch.setattr(distrib, "pi_morphism", None)
+    task = ("formal", dict(r=1, n=2, degree=3, flavor="xyz"))
+    with pytest.raises(ParameterError, match="flavor must be one of"):
+        cli._run_or_error(task)
+
+
+def test_import_cli_leaves_the_process_pool_unloaded():
+    # concurrent.futures.process is imported only for --jobs above 1
+    code = "import sys, polydist.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_word_at_wrong_level_exits_2():
@@ -281,7 +311,7 @@ def test_engine_exception_is_an_error_line_and_keeps_the_other_reports(
 
     monkeypatch.setitem(cli._RUNNERS, "congruence", congruence)
     # threads, so that the --jobs workers see the patched runner
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", ThreadPoolExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPoolExecutor)
     code = cli.main(["measures", "congruence", "--q", "8", "--jobs", str(jobs)])
     assert code == 3
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
@@ -632,7 +662,7 @@ def test_jobs_starts_no_more_workers_than_tasks(capsys, monkeypatch, argv, tasks
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     code, out = _main(capsys, *argv)
     assert code == 0
     assert made == [workers]

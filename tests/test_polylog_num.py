@@ -25,7 +25,7 @@ from polydist.polylog_num import (
     verify_numeric_distribution,
 )
 from polydist.report import ParameterError
-from polydist.words import FLAVOR_STANDARD, Word, empty_word, parse_word
+from polydist.words import FLAVOR_STANDARD, Word, parse_word
 
 
 # Reference route for the spectral matrix: one Legendre refit per panel.
@@ -150,7 +150,7 @@ def test_word_validation_errors():
     with pytest.raises(DivergentWordError):
         mpl_series(MPLQuery(parse_word("n=1,std:X.Y0"), 0.5))
     with pytest.raises(DivergentWordError):
-        mpl_series(MPLQuery(empty_word(1), 0.5))
+        mpl_series(MPLQuery(parse_word("n=1,std:"), 0.5))
     with pytest.raises(DivergentWordError):
         w = parse_word("n=1,til:Y0")
         mpl_series(MPLQuery(w, 0.5))

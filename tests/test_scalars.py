@@ -16,7 +16,7 @@ fractions = st.fractions(
 def test_rational_field_basics():
     assert QQ.zero == 0
     assert QQ.one == 1
-    assert QQ.from_int(-3) == Fraction(-3)
+    assert QQ.coerce(-3) == Fraction(-3)
     assert QQ.coerce(Fraction(2, 4)) == Fraction(1, 2)
     assert QQ.is_zero(Fraction(0))
 
@@ -61,13 +61,12 @@ def test_substitute_is_a_homomorphism(p, q):
     assert (p * q).substitute(point) == p.substitute(point) * q.substitute(point)
 
 
-def test_substitute_partial_and_symbols():
+def test_substitute_partial():
     a, b = RING.sym("a"), RING.sym("b")
     p = a * a * b - b * 3 + 1
     half = p.substitute({"a": Fraction(1, 2)})
     assert half == b * Fraction(1, 4) - b * 3 + 1
-    assert p.symbols() == ["a", "b"]
-    assert p.substitute({"a": 2, "b": 1}) == RING.from_int(2)
+    assert p.substitute({"a": 2, "b": 1}) == RING.from_fraction(2)
 
 
 def test_coefficient_of_reads_linear_part():

@@ -11,14 +11,18 @@ from polydist.words import (
     FLAVORS,
     Word,
     WordError,
-    empty_word,
     enumerate_lifts,
     parse_word,
-    reduce_mod_r,
+    reduce_letters,
     words_depth_first,
     words_up_to_degree,
     wt_x,
 )
+
+
+def graded(w):
+    """The canonical word order: by length, then letterwise."""
+    return (len(w.letters), w.letters)
 
 
 @st.composite
@@ -44,14 +48,24 @@ def test_parse_render_roundtrip(w):
 def test_render_format():
     w = Word(6, FLAVOR_STANDARD, (6, 0, 0))
     assert str(w) == "n=6,std:Y5.X.X"
-    assert str(empty_word(2, FLAVOR_TILDE)) == "n=2,til:"
+    assert str(Word(2, FLAVOR_TILDE, ())) == "n=2,til:"
 
 
-def test_parse_rejects_garbage():
+@pytest.mark.parametrize("text", [
+    "n=2,std:Y7",  # index out of range
+    "nonsense",
+    "n=2,std",  # no ':' before the (empty) letter list
+    "n=2,std:Y+1",
+    "n=2,std:Y01",
+    "n=2,std:Y 1",
+    "n=+2,std:X",
+    "n=02,std:X",
+    "n=2,std:X.",
+])
+def test_parse_rejects_garbage(text):
+    # parse_word is the inverse of render: text it would not print is refused
     with pytest.raises(WordError):
-        parse_word("n=2,std:Y7")  # index out of range
-    with pytest.raises(WordError):
-        parse_word("nonsense")
+        parse_word(text)
 
 
 def test_out_of_range_int_letter_raises():
@@ -84,14 +98,15 @@ def _letter_dataclass_key(w):
 def test_int_letter_order_matches_letter_dataclass_order(level, flavor, degree):
     ws = words_up_to_degree(level, flavor, degree)
     shuffled = random.Random(level).sample(ws, len(ws))
-    assert sorted(shuffled) == sorted(shuffled, key=_letter_dataclass_key) == ws
+    assert sorted(shuffled, key=graded) == ws
+    assert sorted(shuffled, key=_letter_dataclass_key) == ws
     assert [parse_word(str(w)) for w in ws] == ws
 
 
 def test_wt_x_counts_x_letters():
     w = parse_word("n=2,std:Y1.X.Y0.X.X")
     assert wt_x(w) == 3
-    assert wt_x(empty_word(1)) == 0
+    assert wt_x(parse_word("n=1,std:")) == 0
 
 
 def test_words_up_to_degree_counts():
@@ -107,7 +122,7 @@ def test_words_up_to_degree_counts():
 
 def test_words_up_to_degree_is_sorted_and_unique():
     ws = words_up_to_degree(3, FLAVOR_STANDARD, 3)
-    assert ws == sorted(ws)
+    assert ws == sorted(ws, key=graded)
     assert len(set(ws)) == len(ws)
     ws19 = words_up_to_degree(2, FLAVOR_STANDARD, 4, min_degree=2)
     assert all(2 <= len(w.letters) <= 4 for w in ws19)
@@ -130,7 +145,7 @@ def test_lift_count(w, n):
     y_count = len(w.letters) - wt_x(w)
     assert len(lifts) == n**y_count
     assert len(set(lifts)) == len(lifts)
-    assert lifts == sorted(lifts)
+    assert lifts == sorted(lifts, key=graded)
     for u in lifts:
         assert u.level == w.level * n
         assert wt_x(u) == wt_x(w)
@@ -138,21 +153,22 @@ def test_lift_count(w, n):
 
 @given(random_words(max_level=3, max_len=5), st.integers(2, 3))
 @settings(max_examples=80)
-def test_reduce_undoes_lift(w, n):
+def test_reduce_letters_undoes_lift(w, n):
     for u in enumerate_lifts(w, n):
-        assert reduce_mod_r(u, w.level) == w
+        assert reduce_letters(u.letters, w.level) == w.letters
 
 
-def test_reduce_requires_divisible_level():
-    w = parse_word("n=4,std:Y3")
-    assert reduce_mod_r(w, 2) == parse_word("n=2,std:Y1")
-    with pytest.raises(WordError):
-        reduce_mod_r(w, 3)
+def test_reduce_letters_keeps_x_and_reduces_puncture_indices():
+    # X stays X and Y_i becomes Y_(i mod r)
+    w = parse_word("n=4,std:Y3.X.Y2")
+    assert reduce_letters(w.letters, 2) == parse_word("n=2,std:Y1.X.Y0").letters
+    assert reduce_letters(w.letters, 1) == parse_word("n=1,std:Y0.X.Y0").letters
+    assert reduce_letters(w.letters, 3) == parse_word("n=3,std:Y0.X.Y2").letters
 
 
-def test_concatenation_and_ordering():
+def test_concatenation():
     a = parse_word("n=2,std:Y0")
     b = parse_word("n=2,std:X")
     assert (a * b).letters == a.letters + b.letters
-    assert empty_word(2) < b < a  # graded: X before Y at equal length
-    assert b < a * b  # shorter first
+    with pytest.raises(WordError):
+        a * parse_word("n=2,til:X")
