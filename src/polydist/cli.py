@@ -16,16 +16,17 @@ One JSON object per report is written to stdout (and to --out if given).
 which ``pstats.Stats(FILE)`` loads; only a serial run can be profiled.
 Exit status is 0 iff every report passes and 1 if a check fails.  Invalid
 usage exits 2 with no report: that includes --word together with --all,
---profile together with --jobs above 1, a --tol not above 0, a --jobs below
-1, a parameter an engine refuses (``ParameterError``: a degree, depth,
---k-max or --trials below 1, since a flag given as 0 is passed on, not
-replaced by its default, a level --r or --n below 1 for
+--profile together with --jobs above 1, a --tol not above 0 or not finite,
+a --jobs below 1, a parameter an engine refuses (``ParameterError``: a
+degree, depth, --k-max or --trials below 1, since a flag given as 0 is
+passed on, not replaced by its default, a level --r or --n below 1 for
 formal-distribution and numeric distribution, a --level not above
 v_ell(--n) for measures pushforward, where the modulus is 1 and every
 congruence holds, and for numeric distribution a --z outside 0 < |z| < 1
-or a --word the evaluators refuse) and a degree above the cap
-that the environment variable POLYDIST_MAX_DEGREE sets, which binds
-eisenstein-specialization at depth 2·--k-max.  ``--jobs N`` runs the tasks
+or a --word the evaluators refuse), a degree above the cap that the
+environment variable POLYDIST_MAX_DEGREE sets, which binds
+eisenstein-specialization at depth 2·--k-max, and a POLYDIST_MAX_DEGREE
+that is not an integer >= 1.  ``--jobs N`` runs the tasks
 in min(N, number of tasks) worker processes.  An engine that raises any
 other exception gets, in place of its report, a line
 ``{"statement", "params", "status": "error", "error": {"type", "message"}}``
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from math import gcd
+from math import gcd, isfinite
 
 from . import distrib, measures, polylog_num
 from .report import ErrorReport, ParameterError
@@ -55,6 +56,8 @@ def _positive(text):
     value = float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"{text} is not above 0")
+    if not isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text} is not finite")
     return value
 
 

@@ -33,12 +33,12 @@ from .lie import (
     GenSeries,
     MOD_IY,
     MOD_JY,
-    PolylogPart,
     bch,
     bernoulli_number,
     beta_series,
     exp_mod,
     log_mod,
+    polylog_element,
     polylog_part,
     reduce_mod_ideal,
 )
@@ -64,7 +64,16 @@ class DegreeCapError(ParameterError):
 
 
 def max_degree_cap():
-    return int(os.environ.get("POLYDIST_MAX_DEGREE", str(DEFAULT_MAX_DEGREE)))
+    text = os.environ.get("POLYDIST_MAX_DEGREE", str(DEFAULT_MAX_DEGREE))
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ParameterError(
+            f"POLYDIST_MAX_DEGREE={text!r} is not an integer >= 1"
+        )
+    return cap
 
 
 def _check_degree(degree):
@@ -129,7 +138,7 @@ def group_like_from_chi(ring, rho, chi_values, trunc, flavor=FLAVOR_STANDARD):
     pure-X and Y.X^i words whose coefficients the group-like engine checks.
     """
     li = [li_from_chi(rho, chi_values, m) for m in range(1, len(chi_values) + 1)]
-    lam = PolylogPart(ring, 1, flavor, len(li), rho, {0: li}).rebuild(trunc)
+    lam = polylog_element(ring, 1, flavor, trunc, rho, {0: li})
     return exp_mod(-lam, MOD_JY)
 
 
@@ -274,9 +283,9 @@ def verify_bch_closed_form(degree=6, candidate="both"):
 
         def build(x_coeff, prefactor):
             # x_coeff·X + prefactor(ad X)(Y)
-            return PolylogPart(
+            return polylog_element(
                 ring, 1, FLAVOR_STANDARD, degree, x_coeff, {0: prefactor.coeffs}
-            ).rebuild(degree)
+            )
 
         lie_elt = build(ell0, ellplus)
         x = Word(1, FLAVOR_STANDARD, (0,))
@@ -545,10 +554,10 @@ def _inhomogeneous_checks(report, n, depth):
             * beta.compose_linear(rho)
         )
 
-    lam = PolylogPart(
+    lam = polylog_element(
         ring, n, FLAVOR_STANDARD, K, rho,
         {s: prefactor[s].coeffs for s in range(n)},
-    ).rebuild(K)
+    )
 
     # independent route per applied unit root: specialize and compare with
     # the BCH composition of the twist arc and the branch polylog element
@@ -556,9 +565,9 @@ def _inhomogeneous_checks(report, n, depth):
         spec = j_zeta_morphism(n, s, K)
         lhs = reduce_mod_ideal(spec.apply(lam), MOD_IY)
         b = (n - s) % n
-        branch_elt = PolylogPart(
+        branch_elt = polylog_element(
             ring, 1, FLAVOR_STANDARD, K, l0(b), {0: li_branch[b]}
-        ).rebuild(K)
+        )
         if s == 0:
             rhs = reduce_mod_ideal(branch_elt, MOD_IY)
         else:
@@ -573,13 +582,13 @@ def _inhomogeneous_checks(report, n, depth):
     # push down the covering and extract the level-1 data
     push = pi_morphism(1, n, K)
     mu = reduce_mod_ideal(push.apply(lam), MOD_IY)
-    part = polylog_part(mu, K)
+    x_coeff, branches = polylog_part(mu, K)
     report.add(
         "pushforward-kummer-scaling",
-        part.x_coeff == rho * Fraction(n),
+        x_coeff == rho * Fraction(n),
         "X coefficient of the push-forward is n·rho",
     )
-    li_zn = list(part.y_coeffs(0))
+    li_zn = list(branches[0])
 
     chi_zn = [
         chi_from_li(rho * Fraction(n), li_zn, m) for m in range(1, K + 1)
@@ -729,17 +738,17 @@ def _homogeneous_checks(report, n, depth):
         for k in range(1, K + 1)
     }
 
-    lam = PolylogPart(
+    lam = polylog_element(
         ring, n, FLAVOR_TILDE, K, d0,
         {s: [dsym[(s, m)] for m in range(1, K + 1)] for s in range(n)},
-    ).rebuild(K)
+    )
 
     # specialization at each unit root picks out exactly one branch
     ok_spec = True
     for s in range(n):
         spec = j_zeta_morphism(n, s, K, flavor=FLAVOR_TILDE)
-        part = polylog_part(spec.apply(lam), K)
-        if part.x_coeff != d0 or list(part.y_coeffs(0)) != [
+        x_coeff, branches = polylog_part(spec.apply(lam), K)
+        if x_coeff != d0 or list(branches[0]) != [
             dsym[(s, k)] for k in range(1, K + 1)
         ]:
             ok_spec = False
@@ -752,13 +761,13 @@ def _homogeneous_checks(report, n, depth):
 
     # push-forward acts diagonally with degree scaling
     push = pi_morphism(1, n, K, flavor=FLAVOR_TILDE)
-    part = polylog_part(push.apply(lam), K)
+    x_coeff, branches = polylog_part(push.apply(lam), K)
     report.add(
         "pushforward-x-scaling",
-        part.x_coeff == d0 * Fraction(n),
+        x_coeff == d0 * Fraction(n),
         "X coefficient multiplies by n",
     )
-    li_zn = list(part.y_coeffs(0))
+    li_zn = list(branches[0])
     ok_li = True
     for k in range(1, K + 1):
         expect = ring.lincomb((dsym[(s, k)], n ** (k - 1)) for s in range(n))

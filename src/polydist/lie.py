@@ -8,10 +8,13 @@ Contents:
 - exp/log/BCH computed from their definitions, optionally inside one of
   those quotients: the ideals are monomial two-sided ideals, so a quotient
   product is exact when it skips every pair of words whose product lies in
-  the ideal, before multiplying their coefficients;
-- ``PolylogPart``: the coordinates (x-coefficient, per-branch coefficients
-  of the iterated brackets ad(X)^(m-1)(Y_s)) of a Lie-like element modulo
-  IY, with an exact residual check on extraction;
+  the ideal, before multiplying their coefficients.  exp and log are each
+  one ``NCSeries.lincomb`` of the powers, with weights 1/k! and
+  (-1)^(k+1)/k: one ``ring.lincomb`` per coefficient, no partial sums;
+- polylog coordinates: ``polylog_element`` builds
+  c0·X + sum_{s,m} c_{s,m} ad(X)^(m-1)(Y_s) from the x-coefficient c0 and
+  the per-branch coefficients, and ``polylog_part`` extracts them from a
+  Lie-like element modulo IY, with an exact residual check;
 - one-variable truncated generating series (``GenSeries``) and the
   Bernoulli machinery: beta(t) = t/(e^t - 1), Bernoulli numbers and
   polynomials.
@@ -108,18 +111,23 @@ def mul_mod(a, b, which=None):
     return a._product(b, partners)
 
 
+def _powers(s, which):
+    """s^0, s^1, ..., s^trunc, computed in the quotient by ``which`` when it
+    is given."""
+    power = NCSeries.one(s.ring, s.level, s.flavor, s.trunc)
+    yield power
+    for _ in range(s.trunc):
+        power = mul_mod(power, s, which)
+        yield power
+
+
 def exp_mod(s, which=None):
     """exp, computed in the quotient by ``which`` when it is given."""
     if not s.ring.is_zero(s.constant_term()):
         raise SeriesError("exp needs zero constant term")
-    acc = NCSeries.one(s.ring, s.level, s.flavor, s.trunc)
-    term = acc
-    for k in range(1, s.trunc + 1):
-        term = mul_mod(term, s, which).scale(Fraction(1, k))
-        if term.is_zero():
-            break
-        acc = acc + term
-    return acc
+    return NCSeries.lincomb(
+        (power, Fraction(1, factorial(k))) for k, power in enumerate(_powers(s, which))
+    )
 
 
 def log_mod(g, which=None):
@@ -127,14 +135,11 @@ def log_mod(g, which=None):
     u = g - NCSeries.one(g.ring, g.level, g.flavor, g.trunc)
     if not g.ring.is_zero(u.constant_term()):
         raise SeriesError("log needs constant term one")
-    acc = NCSeries.zero(g.ring, g.level, g.flavor, g.trunc)
-    power = NCSeries.one(g.ring, g.level, g.flavor, g.trunc)
-    for k in range(1, g.trunc + 1):
-        power = mul_mod(power, u, which)
-        if power.is_zero():
-            break
-        acc = acc + power.scale(Fraction(-1 if k % 2 == 0 else 1, k))
-    return acc
+    # u^0 has weight 0: it only names the algebra when u is zero
+    return NCSeries.lincomb(
+        (power, Fraction((-1) ** (k + 1), k) if k else 0)
+        for k, power in enumerate(_powers(u, which))
+    )
 
 
 def bch(s, t, which=None):
@@ -152,75 +157,30 @@ def bch(s, t, which=None):
 # ---------------------------------------------------------------------------
 
 
-class PolylogPart:
-    """Coordinates of a Lie-like element modulo IY.
+def polylog_element(ring, level, flavor, trunc, x_coeff, branches):
+    """The element c0·X + sum_s sum_m c_{s,m} ad(X)^(m-1)(Y_s).
 
-    x_coeff is the coefficient of the single X letter; branches[s] is the
-    tuple (c_1, ..., c_depth) with c_m the coefficient of
-    ad(X)^(m-1)(Y_s).
+    ``x_coeff`` is c0 and ``branches[s]`` the sequence (c_{s,1}, c_{s,2}, ...).
+    ad(X)^(m-1)(Y_s) = sum_j (-1)^j C(m-1, j) X^(m-1-j) . Y_s . X^j, and
+    each word X^a . Y_s . X^b comes from exactly one (s, m), so every
+    coefficient is written once.
     """
-
-    __slots__ = ("ring", "level", "flavor", "depth", "x_coeff", "branches")
-
-    def __init__(self, ring, level, flavor, depth, x_coeff, branches):
-        self.ring = ring
-        self.level = level
-        self.flavor = flavor
-        self.depth = depth
-        self.x_coeff = x_coeff
-        self.branches = {s: tuple(v) for s, v in branches.items()}
-
-    def y_coeffs(self, s=0):
-        return self.branches[s]
-
-    def __eq__(self, other):
-        if not isinstance(other, PolylogPart):
-            return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.level == other.level
-            and self.flavor == other.flavor
-            and self.depth == other.depth
-            and self.x_coeff == other.x_coeff
-            and self.branches == other.branches
-        )
-
-    def rebuild(self, trunc=None):
-        """The element c0·X + sum_s sum_m c_{s,m} ad(X)^(m-1)(Y_s).
-
-        ad(X)^(m-1)(Y_s) = sum_j (-1)^j C(m-1, j) X^(m-1-j) . Y_s . X^j, and
-        each word X^a . Y_s . X^b comes from exactly one (s, m), so every
-        coefficient is written once.
-        """
-        trunc = self.depth if trunc is None else trunc
-        ring, level, flavor = self.ring, self.level, self.flavor
-        coeffs = {(0,): ring.coerce(self.x_coeff)}
-        for s, branch in self.branches.items():
-            for m, c in enumerate(branch[:trunc], start=1):
-                c = ring.coerce(c)
-                if ring.is_zero(c):
-                    continue
-                for j in range(m):
-                    w = (0,) * (m - 1 - j) + (1 + s,) + (0,) * j
-                    coeffs[w] = c * ((-1) ** j * comb(m - 1, j))
-        return NCSeries(ring, level, flavor, trunc, coeffs)
-
-    def __repr__(self):
-        return (
-            f"PolylogPart(x={self.x_coeff}, "
-            + ", ".join(
-                f"Y{s}: [" + ", ".join(str(c) for c in v) + "]"
-                for s, v in sorted(self.branches.items())
-            )
-            + ")"
-        )
+    coeffs = {(0,): ring.coerce(x_coeff)}
+    for s, branch in branches.items():
+        for m, c in enumerate(branch[:trunc], start=1):
+            c = ring.coerce(c)
+            for j in range(m):
+                w = (0,) * (m - 1 - j) + (1 + s,) + (0,) * j
+                coeffs[w] = c * ((-1) ** j * comb(m - 1, j))
+    return NCSeries(ring, level, flavor, trunc, coeffs)
 
 
 def polylog_part(lam, depth=None):
-    """Extract PolylogPart coordinates of ``lam`` modulo IY, exactly.
+    """The coordinates ``(x_coeff, branches)`` of ``lam`` modulo IY, exactly.
 
     The input must be congruent mod IY to
-    c0·X + sum_{s,m} c_{s,m} ad(X)^(m-1)(Y_s) with m <= depth; otherwise
+    c0·X + sum_{s,m} c_{s,m} ad(X)^(m-1)(Y_s) with m <= depth; then x_coeff
+    is c0 and branches[s] the tuple (c_{s,1}, ..., c_{s,depth}).  Otherwise
     NotPolylogError reports the first offending word.
     """
     depth = lam.trunc if depth is None else depth
@@ -237,15 +197,16 @@ def polylog_part(lam, depth=None):
                 c = -c
             coeffs.append(c)
         branches[s] = tuple(coeffs)
-    part = PolylogPart(lam.ring, lam.level, lam.flavor, depth, x_coeff, branches)
-    residual = reduced - part.rebuild(lam.trunc)
+    residual = reduced - polylog_element(
+        lam.ring, lam.level, lam.flavor, lam.trunc, x_coeff, branches
+    )
     if not residual.is_zero():
         bad = Word(lam.level, lam.flavor, residual.support()[0])
         raise NotPolylogError(
             f"element is not of polylog shape mod IY: residual at word {bad}",
             word=bad,
         )
-    return part
+    return x_coeff, branches
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 A series is a sparse dict letters -> coefficient, keyed by the
 ``Word.letters`` of words of its level and flavor (degree is length) and
-truncated at a total degree bound ``trunc`` (terms of degree > trunc are
-dropped by every operation, so arithmetic is exact in that quotient).
+truncated at a total degree bound ``trunc``.  Only the constructor drops
+terms (zeros, and degree > trunc).  Every sum (``lincomb``, ``+``, ``-``,
+rational ``scale``, ``AlgebraMorphism.apply``) is one ``ring.lincomb`` per
+coefficient; only ``_product`` sums its pairs itself.
 
 ``AlgebraMorphism`` is a ring map determined by letter images with zero
 constant term (so it preserves the augmentation and interacts correctly with
@@ -11,12 +13,12 @@ exp/log).  The letter images have rational coefficients, so one morphism
 applies to series over any coefficient ring: ``word_images`` yields the
 images of source words over ``QQ``, each one product of a shared prefix
 image and a letter image, and ``apply`` is the linear combination of word
-images, summing each target coefficient once with the series ring's
-``lincomb``.
+images.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 
 from .scalars import QQ
@@ -101,26 +103,24 @@ class NCSeries:
 
     # -- arithmetic -------------------------------------------------------
 
+    @staticmethod
+    def lincomb(pairs):
+        """The sum of q·s over ``(series, rational)`` pairs from one algebra,
+        truncated at the lowest ``trunc``."""
+        pairs = list(pairs)
+        s0 = pairs[0][0]
+        trunc = min(s0._check(s).trunc for s, _ in pairs)
+        terms = ((w, c, q) for s, q in pairs for w, c in s.coeffs.items())
+        return _summed(s0.ring, s0.level, s0.flavor, trunc, terms)
+
     def __add__(self, other):
-        other = self._check(other)
-        trunc = min(self.trunc, other.trunc)
-        coeffs = {w: c for w, c in self.coeffs.items() if len(w) <= trunc}
-        for w, c in other.coeffs.items():
-            if len(w) > trunc:
-                continue
-            s = coeffs.get(w)
-            s = c if s is None else s + c
-            if self.ring.is_zero(s):
-                coeffs.pop(w, None)
-            else:
-                coeffs[w] = s
-        return NCSeries(self.ring, self.level, self.flavor, trunc, coeffs)
+        return NCSeries.lincomb(((self, 1), (other, 1)))
 
     def __neg__(self):
-        return self._like({w: -c for w, c in self.coeffs.items()})
+        return NCSeries.lincomb(((self, -1),))
 
     def __sub__(self, other):
-        return self + (-other)
+        return NCSeries.lincomb(((self, 1), (other, -1)))
 
     def __mul__(self, other):
         if isinstance(other, NCSeries):
@@ -148,11 +148,7 @@ class NCSeries:
                 w = w1 + w2
                 c = c1 * c2
                 s = coeffs.get(w)
-                s = c if s is None else s + c
-                if self.ring.is_zero(s):
-                    coeffs.pop(w, None)
-                else:
-                    coeffs[w] = s
+                coeffs[w] = c if s is None else s + c
         return NCSeries(self.ring, self.level, self.flavor, trunc, coeffs)
 
     def __rmul__(self, other):
@@ -162,11 +158,8 @@ class NCSeries:
     def scale(self, c):
         if isinstance(c, (int, Fraction)):
             # a rational factor only rescales coefficients: no ring product
-            lincomb = self.ring.lincomb
-            return self._like({w: lincomb(((v, c),)) for w, v in self.coeffs.items()})
+            return NCSeries.lincomb(((self, c),))
         c = self.ring.coerce(c)
-        if self.ring.is_zero(c):
-            return NCSeries.zero(self.ring, self.level, self.flavor, self.trunc)
         return self._like({w: c * v for w, v in self.coeffs.items()})
 
     def truncate(self, trunc):
@@ -174,23 +167,12 @@ class NCSeries:
             raise SeriesError(
                 f"cannot extend truncation {self.trunc} to {trunc}"
             )
-        return NCSeries(
-            self.ring,
-            self.level,
-            self.flavor,
-            trunc,
-            {w: c for w, c in self.coeffs.items() if len(w) <= trunc},
-        )
+        return NCSeries(self.ring, self.level, self.flavor, trunc, self.coeffs)
 
     def map_coefficients(self, f, ring=None):
         """Apply f to every coefficient (e.g. a substitution)."""
-        ring = ring or self.ring
-        out = {}
-        for w, c in self.coeffs.items():
-            v = f(c)
-            if not ring.is_zero(v):
-                out[w] = v
-        return NCSeries(ring, self.level, self.flavor, self.trunc, out)
+        out = {w: f(c) for w, c in self.coeffs.items()}
+        return NCSeries(ring or self.ring, self.level, self.flavor, self.trunc, out)
 
     def __eq__(self, other):
         if not isinstance(other, NCSeries):
@@ -302,22 +284,14 @@ class AlgebraMorphism:
         """The image of ``series``, over the series' own ring."""
         if series.level != self.source_level or series.flavor != self.source_flavor:
             raise SeriesError("series does not live in the source algebra")
-        trunc = min(self.trunc, series.trunc)
         coeffs = series.coeffs
-        # (coefficient, rational) pairs per target word: one lincomb each
-        pairs = {}
-        for w, image in self.word_images(sorted(coeffs)):
-            c = coeffs[w]
-            for w2, q in image.coeffs.items():
-                pairs.setdefault(w2, []).append((c, q))
-        ring = series.ring
-        return NCSeries(
-            ring,
-            self.target_level,
-            self.target_flavor,
-            trunc,
-            {w2: ring.lincomb(p) for w2, p in pairs.items()},
+        terms = (
+            (w2, coeffs[w], q)
+            for w, image in self.word_images(sorted(coeffs))
+            for w2, q in image.coeffs.items()
         )
+        trunc = min(self.trunc, series.trunc)
+        return _summed(series.ring, self.target_level, self.target_flavor, trunc, terms)
 
     __call__ = apply
 
@@ -326,3 +300,15 @@ class AlgebraMorphism:
             f"AlgebraMorphism(n={self.source_level},{self.source_flavor} -> "
             f"n={self.target_level},{self.target_flavor}, D<={self.trunc})"
         )
+
+
+def _summed(ring, level, flavor, trunc, terms):
+    """The series whose coefficient at w sums q·c over the ``(w, c, q)``
+    terms, q rational: one ``ring.lincomb`` per word."""
+    pairs = defaultdict(list)
+    for w, c, q in terms:
+        pairs[w].append((c, q))
+    lincomb = ring.lincomb
+    return NCSeries(
+        ring, level, flavor, trunc, {w: lincomb(p) for w, p in pairs.items()}
+    )

@@ -16,7 +16,8 @@ Elements know their ring; mixing elements of different rings raises
 ``RingMismatchError``.  Plain ``int``/``Fraction`` scalars coerce into any
 ring.  ``lincomb(pairs)`` is the one way to sum coefficients: it returns
 the sum of q·p over ``(p, q)`` pairs, p in the ring and q rational, in one
-pass instead of a fold of ``+`` that copies every partial sum.
+pass instead of a fold of ``+`` that copies every partial sum; every
+series sum is one ``lincomb`` per coefficient (``NCSeries.lincomb``).
 
 A polynomial keeps integer numerators over one positive denominator in
 lowest terms, so its arithmetic is integer work: a product convolves the

@@ -95,6 +95,16 @@ def test_degree_cap_violation_exits_2():
     assert "POLYDIST_MAX_DEGREE" in proc.stderr or "degree" in proc.stderr.lower()
 
 
+@pytest.mark.parametrize("cap", ["abc", "0", "-3", "2.5", ""])
+def test_a_malformed_degree_cap_is_a_usage_error(capsys, monkeypatch, cap):
+    # read by each engine as it starts: once refused, no report is printed
+    monkeypatch.setenv("POLYDIST_MAX_DEGREE", cap)
+    code, out = _main(capsys, "verify", "--all")
+    assert code == 2
+    assert out.out == ""
+    assert f"POLYDIST_MAX_DEGREE={cap!r} is not an integer >= 1" in out.err
+
+
 def test_seeded_reports_are_deterministic():
     args = ("measures", "pushforward", "--ell", "3", "--level", "2",
             "--n", "2", "--trials", "12", "--seed", "9")
@@ -557,17 +567,21 @@ def test_a_flag_given_as_0_is_refused_not_defaulted(capsys, argv, message):
     assert message in out.err
 
 
-@pytest.mark.parametrize("tol", ["0", "-1e-9", "nan"])
-@pytest.mark.parametrize("selector", ["calibration", "distribution", "cross-oracle"])
+@pytest.mark.parametrize("tol", ["0", "-1e-9", "nan", "inf"])
+@pytest.mark.parametrize(
+    "selector", ["calibration", "distribution", "cross-oracle", "classical"]
+)
 def test_a_tolerance_not_above_0_is_refused_at_parse_time(capsys, monkeypatch, tol,
                                                           selector):
-    # tol 0 would reach li_classical's log of 0 and print an error line;
-    # with no task builder, only a refusal while parsing exits 2
+    # tol 0 would reach li_classical's log of 0 and print an error line, and
+    # tol inf an error line whose params are not JSON; with no task
+    # builder, only a refusal while parsing exits 2
     monkeypatch.setattr(cli, "_tasks", None)
     code, out = _main(capsys, "numeric", selector, f"--tol={tol}")
     assert code == 2
     assert out.out == ""
-    assert f"{tol} is not above 0" in out.err
+    reason = "not finite" if tol == "inf" else "not above 0"
+    assert f"{tol} is {reason}" in out.err
 
 
 @pytest.mark.parametrize(

@@ -18,11 +18,11 @@ from polydist.lie import (
     exp_mod,
     log_mod,
     mul_mod,
+    polylog_element,
     polylog_part,
     reduce_mod_ideal,
 )
 from polydist.distrib import group_like_from_chi, li_from_chi
-from polydist.lie import PolylogPart
 from polydist.ncseries import NCSeries, SeriesError
 from polydist.scalars import QQ, PolyRing, SymbolicPoly
 from polydist.words import FLAVOR_STANDARD, FLAVORS, parse_word
@@ -189,7 +189,7 @@ def test_group_like_from_chi_is_the_full_exp_reduced_mod_jy(depth, flavor):
     rho = ring.sym("rho")
     cs = [ring.sym(f"c{k}") for k in range(1, depth + 1)]
     li = [li_from_chi(rho, cs, m) for m in range(1, depth + 1)]
-    lam = PolylogPart(ring, 1, flavor, depth, rho, {0: li}).rebuild(depth)
+    lam = polylog_element(ring, 1, flavor, depth, rho, {0: li})
     assert group_like_from_chi(ring, rho, cs, depth, flavor) == reduce_mod_ideal(
         (-lam).exp(), MOD_JY
     )
@@ -324,13 +324,15 @@ def test_polylog_part_roundtrip():
     lam = NCSeries.monomial(ring, X, trunc, ring.sym("rho"))
     for m in (1, 2, 3):
         lam = lam + ad_pow(ring, m, trunc).scale(ring.sym(f"c{m}"))
-    part = polylog_part(lam)
-    assert part.x_coeff == ring.sym("rho")
-    assert part.y_coeffs() == (
+    x_coeff, branches = polylog_part(lam)
+    assert x_coeff == ring.sym("rho")
+    assert branches[0] == (
         ring.sym("c1"), ring.sym("c2"), ring.sym("c3"),
         ring.zero, ring.zero, ring.zero,
     )
-    assert part.rebuild(trunc) == reduce_mod_ideal(lam, MOD_IY)
+    assert polylog_element(ring, 1, FLAVOR_STANDARD, trunc, x_coeff, branches) == (
+        reduce_mod_ideal(lam, MOD_IY)
+    )
 
 
 def test_polylog_part_rejects_non_lie_junk():
