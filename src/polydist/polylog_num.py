@@ -22,6 +22,12 @@ product per letter.  ``li_classical`` sums the classical series with proven
 truncation bounds and is the oracle for calibration; on the unit circle it
 replaces the tail by exact Abel corrections (summation by parts), whose
 remainder bound is checked at run time.
+
+numpy is imported inside the functions that use it, so the exact engines
+run without it and a run pays its import only at the first numeric task.
+The Legendre module stays reachable as the module attribute ``npleg``,
+bound on first access, because the benchmark tracer counts the Legendre
+kernels through that attribute.
 """
 
 from __future__ import annotations
@@ -30,14 +36,22 @@ import cmath
 import functools
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-from numpy.polynomial import legendre as npleg
-
 from .report import ParameterError, VerificationReport, timed
 from .words import FLAVOR_STANDARD, Word, enumerate_lifts, wt_x
+
+
+def __getattr__(name):
+    # called only while ``npleg`` is unbound: import it and bind it for good
+    if name == "npleg":
+        global npleg
+        from numpy.polynomial import legendre as npleg
+
+        return npleg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class DivergentWordError(ValueError):
@@ -91,6 +105,8 @@ def mpl_series(query):
     modulus, giving the tail bound |z|^(M+1)/(1-|z|).  That premise is
     checked after every letter; ConvergenceError is raised if it fails.
     """
+    import numpy as np
+
     _validate_word(query.word)
     z = complex(query.z)
     az = abs(z)
@@ -136,7 +152,7 @@ def mpl_series(query):
 def _check_tail_premise(alpha, word):
     # The computed roots of unity have modulus 1 only up to a few ulps, and
     # alpha_1 of Y_i.X...X sits on the bound, so rounding is allowed for.
-    bound = float(np.abs(alpha).max())
+    bound = float(abs(alpha).max())
     if bound > 1 + 1e-12:
         raise ConvergenceError(
             f"Taylor coefficient of modulus {bound:.3g} > 1 for {word}: "
@@ -158,6 +174,8 @@ def li_classical(k, z, tol=1e-12, max_terms=8_000_000):
     near-boundary cases exceeding ``max_terms`` raise ConvergenceError
     rather than return an uncertified value.
     """
+    import numpy as np
+
     z = complex(z)
     az = abs(z)
     if az > 1 + 1e-15:
@@ -279,6 +297,9 @@ def _spectral_rule(nodes):
     antiderivative back at the nodes (Greengard 1991).  The Gauss rule is
     exact on P_j·P_k here, so coefficient j of the interpolant is
     (j + 1/2)·sum_i w_i P_j(x_i) g_i and no Vandermonde matrix is inverted."""
+    import numpy as np
+
+    npleg = sys.modules[__name__].npleg  # the module attribute, as traced
     x, w = npleg.leggauss(nodes)
     vander = npleg.legvander(x, nodes - 1)
     to_coeffs = (np.arange(nodes) + 0.5)[:, None] * (vander * w[:, None]).T
@@ -296,6 +317,8 @@ def _integral_from(eps, word, z, zeta, nodes):
     multiplies the running values by its form, integrates every panel at
     once with the spectral matrix, and adds each panel's start: the
     exclusive cumulative sum of the Gauss panel totals."""
+    import numpy as np
+
     x, S, w = _spectral_rule(nodes)
     bounds = np.array(_panel_bounds(eps))
     scale = (bounds[1:] - bounds[:-1]) / 2.0
@@ -329,6 +352,8 @@ def iterint_quadrature(query, options=None):
     Independent of the series evaluator; works for any |z| < 1 whose ray
     stays at least ``min_puncture_distance`` away from every puncture.
     """
+    import numpy as np
+
     options = options or QuadratureOptions()
     _validate_word(query.word)
     z = complex(query.z)

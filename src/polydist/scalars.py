@@ -231,11 +231,18 @@ class SymbolicPoly:
         other = self._check(other)
         if other is None:
             return NotImplemented
-        nums2 = other.nums.items()
+        # m1 + m2 is already sorted when m1 ends at or below m2's first
+        # index, as about half the pairs do; only the others are sorted.
+        # The constant monomial () counts as starting past every index.
+        past = len(self.ring.gens)
+        right = [(m2, b, m2[0] if m2 else past) for m2, b in other.nums.items()]
         acc = {}
         for m1, a in self.nums.items():
-            for m2, b in nums2:
-                m = tuple(sorted(m1 + m2))
+            last = m1[-1] if m1 else -1
+            for m2, b, first in right:
+                m = m1 + m2
+                if last > first:
+                    m = tuple(sorted(m))
                 acc[m] = acc.get(m, 0) + a * b
         return _poly(self.ring, acc, self.den * other.den)
 
@@ -331,8 +338,10 @@ class SymbolicPoly:
 
 
 def _poly(ring, nums, den, p=None):
-    """sum(nums[m]·m)/den, den > 0, in lowest terms (stored in ``p`` if given)."""
-    nums = {m: a for m, a in nums.items() if a}
+    """sum(nums[m]·m)/den, den > 0, in lowest terms (stored in ``p`` if given).
+    ``nums`` is the caller's fresh dict and is kept when no numerator is 0."""
+    if 0 in nums.values():
+        nums = {m: a for m, a in nums.items() if a}
     if den != 1:
         g = gcd(den, *nums.values())
         if g != 1:

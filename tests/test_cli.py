@@ -159,14 +159,72 @@ def test_an_unknown_flavor_is_refused_before_any_work(monkeypatch):
         cli._run_or_error(task)
 
 
+def _fresh_python(code, *args):
+    """The whitespace-separated words ``code`` prints in a new interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
 def test_import_cli_leaves_the_process_pool_unloaded():
     # concurrent.futures.process is imported only for --jobs above 1
     code = "import sys, polydist.cli; print('concurrent.futures.process' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True
+    assert _fresh_python(code) == ["False"]
+
+
+# one small task of every exact engine, symbolic and measure
+_EXACT_TASKS = [
+    ("formal", dict(r=1, n=2, degree=4, flavor="til")),
+    ("bch", dict(degree=4, candidate="both")),
+    ("conversions", dict(depth=4)),
+    ("inhomogeneous", dict(n=2, depth=4)),
+    ("homogeneous", dict(n=2, depth=4)),
+    ("eisenstein", dict(k_max=3)),
+    ("pushforward", dict(ell=3, m=2, n=2, trials=5, seed=0, depth=3)),
+    ("congruence", dict(q=8, c=3)),
+]
+
+
+def test_exact_engines_run_with_numpy_blocked():
+    # a None entry in sys.modules makes every import of numpy raise
+    code = (
+        "import json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import polydist, polydist.cli as cli\n"
+        "for task in json.loads(sys.argv[1]):\n"
+        "    print(cli._run_task(task).status)\n"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert sorted({r for r, _ in _EXACT_TASKS}) == sorted(
+        r for r, fn in cli._RUNNERS.items() if fn.__module__ != "polydist.polylog_num"
+    )
+    statuses = _fresh_python(code, json.dumps(_EXACT_TASKS))
+    assert statuses == ["pass"] * len(_EXACT_TASKS)
+
+
+def test_import_cli_and_a_formal_task_leave_numpy_unloaded():
+    code = (
+        "import json, sys, polydist.cli as cli\n"
+        "print(cli._run_task(json.loads(sys.argv[1])).status)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    assert _fresh_python(code, json.dumps(_EXACT_TASKS[0])) == ["pass", "False"]
+
+
+def test_npleg_is_numpys_legendre_module_bound_on_first_access():
+    # the benchmark tracer finds the Legendre kernels through this attribute
+    code = (
+        "import polydist.polylog_num as pn\n"
+        "print('npleg' in vars(pn))\n"
+        "import numpy.polynomial.legendre as legendre\n"
+        "print(pn.npleg is legendre, vars(pn).get('npleg') is legendre)\n"
+        "try:\n"
+        "    pn.no_such_attribute\n"
+        "except AttributeError:\n"
+        "    print('AttributeError')\n"
+    )
+    assert _fresh_python(code) == ["False", "True", "True", "AttributeError"]
 
 
 def test_word_at_wrong_level_exits_2():

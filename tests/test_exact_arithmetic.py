@@ -338,6 +338,31 @@ def test_a_monomial_is_the_sorted_tuple_of_its_generator_indices():
     assert str(a * a * b + a * b * b + c) == "c + a*b^2 + a^2*b"
 
 
+WIDE = PolyRing([f"g{i}" for i in range(6)])
+wide_monomials = st.lists(st.integers(0, 5), max_size=5).map(lambda m: tuple(sorted(m)))
+
+
+@given(
+    st.dictionaries(wide_monomials, st.integers(-9, 9), max_size=6),
+    st.dictionaries(wide_monomials, st.integers(-9, 9), max_size=6),
+)
+@settings(max_examples=200, deadline=None)
+def test_a_product_monomial_is_the_sorted_concatenation(left, right):
+    # the product sorts only the pairs whose concatenation is out of order
+    for m1 in left:
+        for m2 in right:
+            one1, one2 = (SymbolicPoly(WIDE, {m: Fraction(1)}) for m in (m1, m2))
+            assert (one1 * one2).nums == {tuple(sorted(m1 + m2)): 1}
+    acc = {}
+    for m1, a in left.items():
+        for m2, b in right.items():
+            m = tuple(sorted(m1 + m2))
+            acc[m] = acc.get(m, 0) + a * b
+    p, q = (SymbolicPoly(WIDE, {m: Fraction(c) for m, c in d.items()})
+            for d in (left, right))
+    assert p * q == SymbolicPoly(WIDE, {m: Fraction(c) for m, c in acc.items()})
+
+
 # -- QQ: the Fraction-coercing RationalField as the oracle -----------------
 
 
