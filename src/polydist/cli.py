@@ -25,9 +25,10 @@ v_ell(--n) for measures pushforward, where the modulus is 1 and every
 congruence holds, and for numeric distribution a --z outside 0 < |z| < 1
 or a --word the evaluators refuse), a degree above the cap that the
 environment variable POLYDIST_MAX_DEGREE sets, which binds
-eisenstein-specialization at depth 2·--k-max, and a POLYDIST_MAX_DEGREE
-that is not an integer >= 1.  ``--jobs N`` runs the tasks
-in min(N, number of tasks) worker processes.  An engine that raises any
+eisenstein-specialization at depth 2·--k-max, a POLYDIST_MAX_DEGREE that
+is not an integer >= 1, and a task list with a numeric engine (``numeric``,
+or ``verify --all``) when numpy is not installed.  ``--jobs N`` runs the
+tasks in min(N, number of tasks) worker processes.  An engine that raises any
 other exception gets, in place of its report, a line
 ``{"statement", "params", "status": "error", "error": {"type", "message"}}``
 with the task's name as ``statement``; the other reports are kept, and the
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from importlib.util import find_spec
 from math import gcd, isfinite
 
 from . import distrib, measures, polylog_num
@@ -285,6 +287,9 @@ def main(argv=None):
     tasks = _tasks(args.command, args)
     if not tasks:
         parser.error("selection produced no tasks")
+    if any(_COMMAND[name] == "numeric" for name, _ in tasks) and not find_spec("numpy"):
+        # found without importing it, so exact-engine runs never load numpy
+        parser.error("the numeric engines need numpy, which is not installed")
 
     try:
         if args.jobs > 1:

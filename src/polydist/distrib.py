@@ -91,43 +91,39 @@ def _check_degree(degree):
 # ---------------------------------------------------------------------------
 
 
-def chi_from_li(rho, li_values, m):
+def chi_from_li(ring, rho, li_values, m):
     """Depth-m character from polylog values at the same point.
 
     chi_m = (-1)^(m+1) (m-1)! sum_{k=1}^{m} rho^(m-k) li_k / (m+1-k)!
-    where li_values[k-1] is the depth-k polylog value.
+    where li_values[k-1] is the depth-k polylog value, in ``ring``.
     """
     if m < 1 or m > len(li_values):
         raise ValueError(f"depth {m} out of range")
-    total = None
-    for k in range(1, m + 1):
-        term = li_values[k - 1] * Fraction(
-            (-1) ** (m + 1) * factorial(m - 1), factorial(m + 1 - k)
-        )
-        for _ in range(m - k):
-            term = term * rho
-        total = term if total is None else total + term
-    return total
+    c = (-1) ** (m + 1) * factorial(m - 1)
+    return ring.lincomb(
+        (li_values[k - 1] * rho ** (m - k), Fraction(c, factorial(m + 1 - k)))
+        for k in range(1, m + 1)
+    )
 
 
-def li_from_chi(rho, chi_values, m):
+def li_from_chi(ring, rho, chi_values, m):
     """Depth-m polylog value from characters at the same point.
 
     li_m = (-1)^(m+1) sum_{k=0}^{m-1} (B_k/k!) (-rho)^k chi_(m-k) / (m-k-1)!
-    where chi_values[k-1] is the depth-k character.
+    where chi_values[k-1] is the depth-k character, in ``ring``.
     """
     if m < 1 or m > len(chi_values):
         raise ValueError(f"depth {m} out of range")
-    total = None
-    for k in range(m):
-        coeff = Fraction((-1) ** (m + 1), 1) * bernoulli_number(k) * Fraction(
-            (-1) ** k, factorial(k) * factorial(m - k - 1)
+    return ring.lincomb(
+        (
+            chi_values[m - k - 1] * rho**k,
+            (-1) ** (m + 1 + k)
+            * bernoulli_number(k)
+            / (factorial(k) * factorial(m - k - 1)),
         )
-        term = chi_values[m - k - 1] * coeff
-        for _ in range(k):
-            term = term * rho
-        total = term if total is None else total + term
-    return total
+        for k in range(m)
+        if bernoulli_number(k)  # B_k = 0 at odd k > 1: no product to form
+    )
 
 
 def group_like_from_chi(ring, rho, chi_values, trunc, flavor=FLAVOR_STANDARD):
@@ -137,7 +133,7 @@ def group_like_from_chi(ring, rho, chi_values, trunc, flavor=FLAVOR_STANDARD):
     li is derived from the characters.  The survivors of JY are exactly the
     pure-X and Y.X^i words whose coefficients the group-like engine checks.
     """
-    li = [li_from_chi(rho, chi_values, m) for m in range(1, len(chi_values) + 1)]
+    li = [li_from_chi(ring, rho, chi_values, m) for m in range(1, len(chi_values) + 1)]
     lam = polylog_element(ring, 1, flavor, trunc, rho, {0: li})
     return exp_mod(-lam, MOD_JY)
 
@@ -388,8 +384,8 @@ def verify_conversions(depth=8):
         ring_c = PolyRing(["rho"] + [f"c{k}" for k in range(1, K + 1)])
         rho = ring_c.sym("rho")
         cs = [ring_c.sym(f"c{k}") for k in range(1, K + 1)]
-        li = [li_from_chi(rho, cs, m) for m in range(1, K + 1)]
-        back = [chi_from_li(rho, li, m) for m in range(1, K + 1)]
+        li = [li_from_chi(ring_c, rho, cs, m) for m in range(1, K + 1)]
+        back = [chi_from_li(ring_c, rho, li, m) for m in range(1, K + 1)]
         report.add(
             "roundtrip-chi-li-chi",
             back == cs,
@@ -400,8 +396,8 @@ def verify_conversions(depth=8):
         ring_l = PolyRing(["rho"] + [f"v{k}" for k in range(1, K + 1)])
         rho_l = ring_l.sym("rho")
         vs = [ring_l.sym(f"v{k}") for k in range(1, K + 1)]
-        chi_v = [chi_from_li(rho_l, vs, m) for m in range(1, K + 1)]
-        back_v = [li_from_chi(rho_l, chi_v, m) for m in range(1, K + 1)]
+        chi_v = [chi_from_li(ring_l, rho_l, vs, m) for m in range(1, K + 1)]
+        back_v = [li_from_chi(ring_l, rho_l, chi_v, m) for m in range(1, K + 1)]
         report.add(
             "roundtrip-li-chi-li",
             back_v == vs,
@@ -409,7 +405,7 @@ def verify_conversions(depth=8):
         )
 
         # depth-2 spot identity: li_2 = -c2 - (rho/2) c1
-        spot = li_from_chi(rho, cs, 2) if K >= 2 else None
+        spot = li_from_chi(ring_c, rho, cs, 2) if K >= 2 else None
         if spot is not None:
             expected = -cs[1] - rho * cs[0] * Fraction(1, 2)
             report.add("depth-2-conversion", spot == expected, str(spot))
@@ -528,7 +524,7 @@ def _inhomogeneous_checks(report, n, depth):
 
     # branch polylog values, by conversion and by generating identity
     li_branch = {
-        s: [li_from_chi(l0(s), chi_list(s), m) for m in range(1, K + 1)]
+        s: [li_from_chi(ring, l0(s), chi_list(s), m) for m in range(1, K + 1)]
         for s in range(n)
     }
     ok_gen = True
@@ -591,7 +587,7 @@ def _inhomogeneous_checks(report, n, depth):
     li_zn = list(branches[0])
 
     chi_zn = [
-        chi_from_li(rho * Fraction(n), li_zn, m) for m in range(1, K + 1)
+        chi_from_li(ring, rho * Fraction(n), li_zn, m) for m in range(1, K + 1)
     ]
 
     # generating identity downstairs: the derived character series equals
@@ -601,11 +597,10 @@ def _inhomogeneous_checks(report, n, depth):
         [chi_zn[k - 1] * Fraction(1, factorial(k - 1)) for k in range(1, K + 1)]
         + [ring.zero],
     )
-    rhs_series = GenSeries.zero(ring, K)
-    for s in range(n):
-        rhs_series = rhs_series + l_series(s).compose_linear(
-            Fraction(n)
-        ) * GenSeries.exp_linear(ring, chi * Fraction(s), K)
+    rhs_series = GenSeries.lincomb(
+        (l_series(s).compose_linear(n) * GenSeries.exp_linear(ring, chi * s, K), 1)
+        for s in range(n)
+    )
     # the t^K coefficient would need depth-(K+1) symbols, so compare to K-1
     report.add(
         "character-series-collapse",
@@ -644,14 +639,15 @@ def _inhomogeneous_checks(report, n, depth):
     true_t = GenSeries(ring, [ring.zero] + li_zn)
     beta_n = beta.compose_linear(rho * Fraction(n))
 
+    def twist(w, s):
+        # exp(-s·w·t): branch s's twist factor, with w = chi or chi - 1
+        return GenSeries.exp_linear(ring, w * -s, K)
+
     def value_sum(use_chi_minus_one):
-        total = GenSeries.zero(ring, K)
-        for s in range(n):
-            w = (chi - 1) if use_chi_minus_one else chi
-            total = total + l_series(s).compose_linear(
-                Fraction(-n)
-            ) * GenSeries.exp_linear(ring, w * Fraction(-s), K)
-        return total
+        w = (chi - 1) if use_chi_minus_one else chi
+        return GenSeries.lincomb(
+            (l_series(s).compose_linear(-n) * twist(w, s), 1) for s in range(n)
+        )
 
     naive_t = (beta_n * value_sum(True)).mul_t()
     true_formula = (beta_n * value_sum(False)).mul_t()
@@ -660,12 +656,10 @@ def _inhomogeneous_checks(report, n, depth):
         true_t == true_formula,
         "derived values of z^n match the twist-weighted closed form",
     )
-    err = GenSeries.zero(ring, K)
-    for s in range(1, n):
-        diff = GenSeries.exp_linear(
-            ring, chi * Fraction(-s), K
-        ) - GenSeries.exp_linear(ring, (chi - 1) * Fraction(-s), K)
-        err = err + l_series(s).compose_linear(Fraction(-n)) * diff
+    err = GenSeries.lincomb(
+        (l_series(s).compose_linear(-n) * (twist(chi, s) - twist(chi - 1, s)), 1)
+        for s in range(1, n)
+    )
     err_predicted = (beta_n * err).mul_t()
     report.add(
         "naive-guess-error-series",
@@ -781,11 +775,11 @@ def _homogeneous_checks(report, n, depth):
 
     # character form of the collapse
     chi_zn = [
-        chi_from_li(d0 * Fraction(n), li_zn, m) for m in range(1, K + 1)
+        chi_from_li(ring, d0 * Fraction(n), li_zn, m) for m in range(1, K + 1)
     ]
     chi_branch = {
         s: [
-            chi_from_li(d0, [dsym[(s, j)] for j in range(1, K + 1)], m)
+            chi_from_li(ring, d0, [dsym[(s, j)] for j in range(1, K + 1)], m)
             for m in range(1, K + 1)
         ]
         for s in range(n)
@@ -918,7 +912,7 @@ def derive_eisenstein_specialization(k_max=3):
         )
 
         # (c) translate the inhomogeneous depth-2 value by chi/2 and compare
-        translated = translate_chi([rho2, solved], chi * Fraction(1, 2), 2)
+        translated = translate_chi(ring, [rho2, solved], chi * Fraction(1, 2), 2)
         hom_value = translated[1]
         report.add(
             "translation-kummer-cancellation",

@@ -15,9 +15,10 @@ Contents:
   c0·X + sum_{s,m} c_{s,m} ad(X)^(m-1)(Y_s) from the x-coefficient c0 and
   the per-branch coefficients, and ``polylog_part`` extracts them from a
   Lie-like element modulo IY, with an exact residual check;
-- one-variable truncated generating series (``GenSeries``) and the
-  Bernoulli machinery: beta(t) = t/(e^t - 1), Bernoulli numbers and
-  polynomials.
+- one-variable truncated generating series (``GenSeries``), whose sums
+  are ``GenSeries.lincomb`` and each coefficient of a product or inverse
+  one ``ring.lincomb`` of its products, and the Bernoulli machinery:
+  beta(t) = t/(e^t - 1), Bernoulli numbers and polynomials.
 """
 
 from __future__ import annotations
@@ -229,10 +230,6 @@ class GenSeries:
             raise ValueError("need at least the constant coefficient")
 
     @classmethod
-    def zero(cls, ring, degree):
-        return cls(ring, [ring.zero] * (degree + 1))
-
-    @classmethod
     def exp_linear(cls, ring, c, degree):
         """exp(c*t) truncated: sum_k c^k/k! t^k."""
         c = ring.coerce(c)
@@ -257,37 +254,30 @@ class GenSeries:
             raise ValueError("generating series over different rings")
         return min(self.degree_bound, other.degree_bound)
 
+    @staticmethod
+    def lincomb(pairs):
+        """The sum of q·s over ``(series, rational)`` pairs over one ring,
+        truncated at the lowest degree bound."""
+        pairs = list(pairs)
+        s0 = pairs[0][0]
+        d = min(s0._align(s) for s, _ in pairs)
+        lincomb = s0.ring.lincomb
+        out = [lincomb([(s.coeffs[k], q) for s, q in pairs]) for k in range(d + 1)]
+        return GenSeries(s0.ring, out)
+
     def __add__(self, other):
-        d = self._align(other)
-        return GenSeries(
-            self.ring, [self.coeffs[k] + other.coeffs[k] for k in range(d + 1)]
-        )
+        return GenSeries.lincomb(((self, 1), (other, 1)))
 
     def __sub__(self, other):
-        d = self._align(other)
-        return GenSeries(
-            self.ring, [self.coeffs[k] - other.coeffs[k] for k in range(d + 1)]
-        )
-
-    def __neg__(self):
-        return GenSeries(self.ring, [-c for c in self.coeffs])
+        return GenSeries.lincomb(((self, 1), (other, -1)))
 
     def __mul__(self, other):
-        if isinstance(other, GenSeries):
-            d = self._align(other)
-            out = [self.ring.zero] * (d + 1)
-            for i in range(d + 1):
-                a = self.coeffs[i]
-                if self.ring.is_zero(a):
-                    continue
-                for j in range(d + 1 - i):
-                    out[i + j] = out[i + j] + a * other.coeffs[j]
-            return GenSeries(self.ring, out)
-        return self.scale(other)
-
-    def scale(self, c):
-        c = self.ring.coerce(c)
-        return GenSeries(self.ring, [c * v for v in self.coeffs])
+        d = self._align(other)
+        a, b, lincomb = self.coeffs, other.coeffs, self.ring.lincomb
+        nonzero = [i for i in range(d + 1) if not self.ring.is_zero(a[i])]
+        out = [lincomb([(a[i] * b[k - i], 1) for i in nonzero if i <= k])
+               for k in range(d + 1)]
+        return GenSeries(self.ring, out)
 
     def truncate(self, degree):
         if degree > self.degree_bound:
@@ -312,13 +302,9 @@ class GenSeries:
         """Multiplicative inverse; requires constant coefficient exactly one."""
         if self.coeffs[0] != self.ring.one:
             raise ValueError("inverse needs constant coefficient one")
-        d = self.degree_bound
-        out = [self.ring.one] + [self.ring.zero] * d
-        for k in range(1, d + 1):
-            acc = self.ring.zero
-            for j in range(1, k + 1):
-                acc = acc + self.coeffs[j] * out[k - j]
-            out[k] = -acc
+        a, out, lincomb = self.coeffs, [self.ring.one], self.ring.lincomb
+        for k in range(1, len(a)):
+            out.append(lincomb([(a[j] * out[k - j], -1) for j in range(1, k + 1)]))
         return GenSeries(self.ring, out)
 
     def __eq__(self, other):

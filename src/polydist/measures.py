@@ -153,24 +153,20 @@ def pushforward_mul(mu, n):
     return FiniteMeasure(mu.ell, m_new, Fraction(0), tuple(out))
 
 
-def translate_chi(chi_values, shift, depth):
+def translate_chi(ring, chi_values, shift, depth):
     """Character list of the translated measure (grid moved by ``shift``).
 
-    Depth-k output: sum_{i=0}^{k-1} C(k-1, i) shift^(k-1-i) chi_(i+1).
-    Works for any commutative coefficients (exact rationals, polynomials).
+    Depth-k output: sum_{i=0}^{k-1} C(k-1, i) shift^(k-1-i) chi_(i+1),
+    summed in ``ring`` (exact rationals, polynomials).
     """
     if depth > len(chi_values):
         raise MeasureError("not enough character values for requested depth")
-    out = []
-    for k in range(1, depth + 1):
-        total = None
-        for i in range(k):
-            term = chi_values[i] * Fraction(comb(k - 1, i))
-            for _ in range(k - 1 - i):
-                term = term * shift
-            total = term if total is None else total + term
-        out.append(total)
-    return out
+    return [
+        ring.lincomb(
+            (chi_values[i] * shift ** (k - 1 - i), comb(k - 1, i)) for i in range(k)
+        )
+        for k in range(1, depth + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ A series is a sparse dict letters -> coefficient, keyed by the
 truncated at a total degree bound ``trunc``.  Only the constructor drops
 terms (zeros, and degree > trunc).  Every sum (``lincomb``, ``+``, ``-``,
 rational ``scale``, ``AlgebraMorphism.apply``) is one ``ring.lincomb`` per
-coefficient; only ``_product`` sums its pairs itself.
+coefficient; only ``_product`` adds its pairs one by one, because collecting
+each word's pairs for a ``lincomb`` slows the formal engine's ``QQ`` products.
 
 ``AlgebraMorphism`` is a ring map determined by letter images with zero
 constant term (so it preserves the augmentation and interacts correctly with

@@ -271,13 +271,14 @@ def _abel_tail(k, z, M, p, tol):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class QuadratureOptions:
-    eps: float = 1e-9
-    levels: int = 6
-    nodes: int = 14
-    min_puncture_distance: float = 0.1
-    tol: float = 1e-8
+# quadrature constants: the largest cut-off epsilon, the fewest cut-offs in
+# its halving sequence, the Gauss-Legendre nodes per panel, the closest the
+# ray may pass to a puncture, and the floor of the extrapolation tolerance
+QUAD_EPS = 1e-9
+QUAD_LEVELS = 6
+QUAD_NODES = 14
+QUAD_MIN_PUNCTURE_DISTANCE = 0.1
+QUAD_TOL = 1e-8
 
 
 def _panel_bounds(eps):
@@ -337,7 +338,7 @@ def _integral_from(eps, word, z, zeta, nodes):
     return complex(ends[-1])
 
 
-def iterint_quadrature(query, options=None):
+def iterint_quadrature(query):
     """Quadrature evaluation of the iterated integral with epsilon cut-off
     and generalized Richardson extrapolation of epsilon -> 0.
 
@@ -350,11 +351,10 @@ def iterint_quadrature(query, options=None):
     of the recovered limit when the coarsest sample is dropped.
 
     Independent of the series evaluator; works for any |z| < 1 whose ray
-    stays at least ``min_puncture_distance`` away from every puncture.
+    stays at least ``QUAD_MIN_PUNCTURE_DISTANCE`` away from every puncture.
     """
     import numpy as np
 
-    options = options or QuadratureOptions()
     _validate_word(query.word)
     z = complex(query.z)
     if abs(z) >= 1:
@@ -368,16 +368,16 @@ def iterint_quadrature(query, options=None):
         pole = zeta**i
         t_star = max(0.0, min(1.0, (pole.conjugate() * z).real / abs(z) ** 2))
         d = abs(t_star * z - pole)
-        if d < options.min_puncture_distance:
+        if d < QUAD_MIN_PUNCTURE_DISTANCE:
             raise PathError(
                 f"integration ray passes within {d:.3g} of puncture index {i}"
             )
 
     x_count = wt_x(query.word)
-    levels = max(options.levels, x_count + 3)
-    eps = np.array([options.eps * 0.5**j for j in range(levels)])
+    levels = max(QUAD_LEVELS, x_count + 3)
+    eps = np.array([QUAD_EPS * 0.5**j for j in range(levels)])
     values = np.array(
-        [_integral_from(e, query.word, z, zeta, options.nodes) for e in eps]
+        [_integral_from(e, query.word, z, zeta, QUAD_NODES) for e in eps]
     )
     columns = [np.ones(levels)]
     columns += [eps * np.log(eps) ** j for j in range(x_count + 1)]
@@ -385,7 +385,7 @@ def iterint_quadrature(query, options=None):
     fit, _, _, _ = np.linalg.lstsq(design, values, rcond=None)
     refit, _, _, _ = np.linalg.lstsq(design[1:], values[1:], rcond=None)
     limit, estimate = fit[0], abs(fit[0] - refit[0])
-    if estimate > max(query.tol, options.tol):
+    if estimate > max(query.tol, QUAD_TOL):
         raise ConvergenceError(
             f"epsilon extrapolation did not converge (estimate {estimate})"
         )

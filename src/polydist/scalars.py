@@ -16,13 +16,16 @@ Elements know their ring; mixing elements of different rings raises
 ``RingMismatchError``.  Plain ``int``/``Fraction`` scalars coerce into any
 ring.  ``lincomb(pairs)`` is the one way to sum coefficients: it returns
 the sum of q·p over ``(p, q)`` pairs, p in the ring and q rational, in one
-pass instead of a fold of ``+`` that copies every partial sum; every
-series sum is one ``lincomb`` per coefficient (``NCSeries.lincomb``).
+pass instead of a fold of ``+`` that copies every partial sum.  Every
+coefficient sum is one ``lincomb``: polynomial ``+``, ``-`` and negation,
+each coefficient of an ``NCSeries`` or ``GenSeries`` sum, of a
+``GenSeries`` product or inverse, and each character transform.  The one
+exception is ``NCSeries._product``, for the cost of the formal engine.
 
 A polynomial keeps integer numerators over one positive denominator in
 lowest terms, so its arithmetic is integer work: a product convolves the
-numerators over the product of the denominators, a sum or ``lincomb``
-rescales each operand by lcm // den, and one gcd pass reduces the result.
+numerators over the product of the denominators, a ``lincomb`` rescales
+each operand by lcm // den, and one gcd pass reduces the result.
 A monomial is the sorted tuple of its generator indices, each repeated by
 its exponent (chi^2·rho is ``(0, 0, 1)``), so its degree is ``len`` and a
 product of monomials is ``tuple(sorted(m1 + m2))``.  ``Fraction`` appears
@@ -133,16 +136,20 @@ class PolyRing:
         """Sum of q·p over ``(p, q)`` pairs, q rational, summed in integers
         over the common denominator of every q·p."""
         scaled = []
+        den = 1
         for p, q in pairs:
             if q:
-                p = self.coerce(p)
-                scaled.append((p.nums, q.numerator, q.denominator * p.den))
-        den = lcm(*[d for _, _, d in scaled])
+                if p.__class__ is not SymbolicPoly or p.ring is not self:
+                    p = self.coerce(p)
+                d = q.denominator * p.den
+                den = lcm(den, d)
+                scaled.append((p.nums, q.numerator, d))
         acc = {}
+        get = acc.get
         for nums, qn, d in scaled:
             f = qn * (den // d)
             for m, a in nums.items():
-                acc[m] = acc.get(m, 0) + f * a
+                acc[m] = get(m, 0) + f * a
         return _poly(self, acc, den)
 
     def __repr__(self):
@@ -205,21 +212,15 @@ class SymbolicPoly:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other, sign=1):
-        # self + sign·other over the lcm of the two denominators
         other = self._check(other)
         if other is None:
             return NotImplemented
-        den = lcm(self.den, other.den)
-        f, g = den // self.den, sign * (den // other.den)
-        nums = {m: f * a for m, a in self.nums.items()}
-        for m, b in other.nums.items():
-            nums[m] = nums.get(m, 0) + g * b
-        return _poly(self.ring, nums, den)
+        return self.ring.lincomb(((self, 1), (other, sign)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _poly(self.ring, {m: -a for m, a in self.nums.items()}, self.den)
+        return self.ring.lincomb(((self, -1),))
 
     def __sub__(self, other):
         return self.__add__(other, -1)

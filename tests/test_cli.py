@@ -212,6 +212,30 @@ def test_import_cli_and_a_formal_task_leave_numpy_unloaded():
     assert _fresh_python(code, json.dumps(_EXACT_TASKS[0])) == ["pass", "False"]
 
 
+def test_numeric_tasks_without_numpy_are_a_usage_error():
+    # the exit status, whether anything was printed to stdout and whether
+    # stderr names numpy, for each command line given as one JSON list
+    code = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import polydist.cli as cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        try:\n"
+        "            status = cli.main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            status = exc.code\n"
+        "    print(status, bool(out.getvalue()), 'numpy' in err.getvalue())\n"
+    )
+    argvs = [["numeric", "calibration"], ["verify", "--all"], ["verify", "bch-closed-form"]]
+    assert _fresh_python(code, json.dumps(argvs)) == [
+        "2", "False", "True",
+        "2", "False", "True",
+        "0", "True", "False",
+    ]
+
+
 def test_npleg_is_numpys_legendre_module_bound_on_first_access():
     # the benchmark tracer finds the Legendre kernels through this attribute
     code = (

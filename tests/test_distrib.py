@@ -42,9 +42,9 @@ fractions = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 @given(fractions, st.lists(fractions, min_size=5, max_size=5))
 @settings(max_examples=40)
 def test_chi_li_roundtrip_rational(rho, li_values):
-    chi = [chi_from_li(rho, li_values, m) for m in range(1, 6)]
+    chi = [chi_from_li(QQ, rho, li_values, m) for m in range(1, 6)]
     for m in range(1, 6):
-        assert li_from_chi(rho, chi, m) == li_values[m - 1]
+        assert li_from_chi(QQ, rho, chi, m) == li_values[m - 1]
 
 
 def test_li_chi_roundtrip_symbolic():
@@ -53,18 +53,18 @@ def test_li_chi_roundtrip_symbolic():
     ring = PolyRing(names)
     rho = ring.sym("rho")
     chi_values = [ring.sym(f"x{m}") for m in range(1, depth + 1)]
-    li = [li_from_chi(rho, chi_values, m) for m in range(1, depth + 1)]
+    li = [li_from_chi(ring, rho, chi_values, m) for m in range(1, depth + 1)]
     for m in range(1, depth + 1):
-        assert chi_from_li(rho, li, m) == chi_values[m - 1]
+        assert chi_from_li(ring, rho, li, m) == chi_values[m - 1]
 
 
 def test_depth_two_conversion_spot_check():
     # chi_2 = -li_2 - (rho/2) li_1, worked by hand from the recursion
     ring = PolyRing(["rho", "l1", "l2"])
     rho, l1, l2 = (ring.sym(s) for s in ("rho", "l1", "l2"))
-    got = chi_from_li(rho, [l1, l2], 2)
+    got = chi_from_li(ring, rho, [l1, l2], 2)
     assert got == -l2 - rho * l1 * Fraction(1, 2)
-    assert chi_from_li(rho, [l1], 1) == l1
+    assert chi_from_li(ring, rho, [l1], 1) == l1
 
 
 def test_group_like_coefficients():

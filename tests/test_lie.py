@@ -188,7 +188,7 @@ def test_group_like_from_chi_is_the_full_exp_reduced_mod_jy(depth, flavor):
     ring = PolyRing(["rho"] + [f"c{k}" for k in range(1, depth + 1)])
     rho = ring.sym("rho")
     cs = [ring.sym(f"c{k}") for k in range(1, depth + 1)]
-    li = [li_from_chi(rho, cs, m) for m in range(1, depth + 1)]
+    li = [li_from_chi(ring, rho, cs, m) for m in range(1, depth + 1)]
     lam = polylog_element(ring, 1, flavor, depth, rho, {0: li})
     assert group_like_from_chi(ring, rho, cs, depth, flavor) == reduce_mod_ideal(
         (-lam).exp(), MOD_JY

@@ -21,6 +21,7 @@ from polydist.measures import (
     verify_measure_pushforward,
 )
 from polydist.report import ParameterError, VerificationReport, timed
+from polydist.scalars import QQ
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=8)
 
@@ -139,15 +140,15 @@ def test_pushforward_moment_scaling_congruence():
 @given(st.lists(fractions, min_size=4, max_size=4), fractions, fractions)
 @settings(max_examples=60)
 def test_translate_chi_is_an_action(chi, a, b):
-    once = translate_chi(translate_chi(chi, a, 4), b, 4)
-    assert once == translate_chi(chi, a + b, 4)
-    assert translate_chi(chi, Fraction(0), 4) == list(chi)
+    once = translate_chi(QQ, translate_chi(QQ, chi, a, 4), b, 4)
+    assert once == translate_chi(QQ, chi, a + b, 4)
+    assert translate_chi(QQ, chi, Fraction(0), 4) == list(chi)
 
 
 def test_translate_chi_binomial_spot():
     chi = [Fraction(0), Fraction(1), Fraction(0)]
     # depth 3 with shift t: sum_i C(2, i) t^(2-i) chi_(i+1) = 2t
-    got = translate_chi(chi, Fraction(3), 3)
+    got = translate_chi(QQ, chi, Fraction(3), 3)
     assert got[2] == 6
 
 

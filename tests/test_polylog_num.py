@@ -15,7 +15,6 @@ from polydist.polylog_num import (
     DivergentWordError,
     MPLQuery,
     PathError,
-    QuadratureOptions,
     iterint_quadrature,
     li_classical,
     mpl_series,
@@ -304,10 +303,6 @@ def test_quadrature_rejects_close_puncture():
         iterint_quadrature(MPLQuery(w, 0.95))  # endpoint 0.05 from puncture 1
     with pytest.raises(PathError):
         iterint_quadrature(MPLQuery(w, 1.2))
-    # a tighter option threshold rejects a previously fine path
-    opts = QuadratureOptions(min_puncture_distance=0.7)
-    with pytest.raises(PathError):
-        iterint_quadrature(MPLQuery(w, 0.5), opts)
 
 
 def test_quadrature_rejects_divergent_word():
